@@ -15,21 +15,11 @@ from .bounds import (
     FamilyConstraint,
     balanced_counts,
     balanced_counts_formula,
-    bt_bound_one_big_vertex,
-    bt_bound_small_degrees,
     claimed_direction,
     construct_extremal,
-    pt_balanced_bound,
-    pt_spider_bound,
-    st_parity_bound,
-    st_star_side_bound,
-    star_global_bound,
     theorem_bound,
 )
 from .enumeration import (
-    DEFAULT_MAX_N,
-    EnumerationTask,
-    family_census,
     family_members,
     free_tree_count_by_prufer,
     free_trees,
@@ -39,19 +29,14 @@ from .indices import (
     ABS_TOL,
     REL_TOL,
     WINDOW_LOW_A,
-    IndexParams,
-    Regime,
-    classify_regime,
+    Index,
     r0_general,
     r0_of_degseq,
     sei,
     sei_of_degseq,
-    validate_a,
-    validate_alpha,
     values_close,
 )
 from .transforms import (
-    TRANSFORM_KINDS,
     TRANSFORMS,
     MoveRecord,
     apply_b1,
@@ -61,7 +46,6 @@ from .transforms import (
     apply_p2,
     apply_s1a,
     apply_s1aa,
-    apply_transform,
     claimed_sign,
     predicted_delta,
 )
@@ -77,17 +61,10 @@ from .trees import (
     structural_profile,
 )
 from .verify import (
-    BT_BIG,
-    BT_SMALL,
     CONFIRMED,
     DEFAULT_A_GRID,
     DEFAULT_ALPHA_GRID,
-    PT_BALANCED,
-    PT_MIN_SPIDER,
     REFUTED,
-    ST_PARITY,
-    ST_STAR_SIDE,
-    STAR_GLOBAL,
     MonotonicityRow,
     TheoremReport,
     check_monotonicity,

@@ -10,44 +10,34 @@ Seven bound statements over three tree families (n >= 6 throughout):
     st-parity    ST(n, k):  max degree 4, at most one degree-4 vertex
     star         all n-vertex trees (n >= 4): the star
 
-Every bound function returns the closed-form value, the claimed
-optimization direction in the given parameter regime (None where no
-claim exists), and the equality degree sequence.
+Each theorem is one table entry: its family, the equality degree
+sequence, the hand-written closed forms for both indices, and the
+claimed optimization direction per regime (None where no claim
+exists). theorem_bound evaluates an entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .indices import (
-    WINDOW_LOW_A,
-    r0_of_degseq,
-    sei_of_degseq,
-    validate_a,
-    validate_alpha,
-    values_close,
-)
+from .indices import Index, values_close
 from .trees import DegreeSequence, Tree, realize_caterpillar, structural_profile
 
-THEOREM_NAMES = (
-    "pt-spider",
-    "pt-balanced",
-    "bt-small",
-    "bt-big",
-    "st-star",
-    "st-parity",
-    "star",
-)
+# Family kind -> its parameter (the StructuralProfile field and CLI flag)
+# and what that parameter counts.
+FAMILY_PARAM = {"pt": ("n1", "pendant"), "st": ("k", "segment"), "bt": ("b", "branching")}
 
-THEOREM_FAMILY = {
-    "pt-spider": "pt",
-    "pt-balanced": "pt",
-    "bt-small": "bt",
-    "bt-big": "bt",
-    "st-star": "st",
-    "st-parity": "st",
-    "star": None,
-}
+
+def family_params(kind: str, n: int) -> range:
+    """Valid parameters of a family: 3 <= n1, k <= n-2 and 1 <= b <= n/2 - 1."""
+    return range(1, (n - 2) // 2 + 1) if kind == "bt" else range(3, n - 1)
+
+
+def family_param(kind: str, stats) -> int:
+    """The family parameter read off a StructuralProfile (or any object
+    with n1, k and b fields)."""
+    return getattr(stats, FAMILY_PARAM[kind][0])
 
 
 @dataclass(frozen=True)
@@ -59,17 +49,17 @@ class FamilyConstraint:
     param: int
 
     def __post_init__(self) -> None:
-        if self.kind not in ("pt", "st", "bt"):
+        if self.kind not in FAMILY_PARAM:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.n < 6:
             raise ValueError("families are defined for n >= 6")
-        n, p = self.n, self.param
-        if self.kind == "pt" and not 3 <= p <= n - 2:
-            raise ValueError(f"pendant count must satisfy 3 <= n1 <= n-2, got n1={p}, n={n}")
-        if self.kind == "st" and not 3 <= p <= n - 2:
-            raise ValueError(f"segment count must satisfy 3 <= k <= n-2, got k={p}, n={n}")
-        if self.kind == "bt" and not 1 <= p <= (n - 2) // 2:
-            raise ValueError(f"branching count must satisfy 1 <= b <= n/2 - 1, got b={p}, n={n}")
+        valid = family_params(self.kind, self.n)
+        if self.param not in valid:
+            name, noun = FAMILY_PARAM[self.kind]
+            raise ValueError(
+                f"{noun} count must satisfy {valid.start} <= {name} <= {valid.stop - 1}, "
+                f"got {name}={self.param}, n={self.n}"
+            )
 
 
 @dataclass(frozen=True)
@@ -95,7 +85,8 @@ def balanced_counts(n: int, n1: int) -> BalancedCounts:
     t = (n - 2) // (n - n1) + 1
     count_t1 = 2 * (n - 1) - n1 - t * (n - n1)
     count_t = (n - n1) - count_t1
-    assert count_t >= 0 and count_t1 >= 0
+    if count_t < 0 or count_t1 < 0:
+        raise ValueError(f"no balanced split for n={n}, n1={n1}")
     return BalancedCounts(t, count_t, count_t1)
 
 
@@ -124,185 +115,120 @@ class BoundValue:
     equality_degseq: DegreeSequence
 
 
-# direction claimed per alpha regime: (convex, concave)
-_R0_DIRECTIONS = {
-    "pt-spider": ("max", "min"),
-    "pt-balanced": ("min", "max"),
-    "bt-small": ("min", "max"),
-    "bt-big": ("max", "min"),
-    "st-star": ("max", "min"),
-    "st-parity": ("min", "max"),
-    "star": ("max", "min"),
+def _balanced_degseq(n: int, n1: int) -> tuple[int, ...]:
+    bc = balanced_counts(n, n1)
+    return (bc.t + 1,) * bc.count_t1 + (bc.t,) * bc.count_t + (1,) * n1
+
+
+def _st_parity_degseq(n: int, k: int) -> tuple[int, ...]:
+    """(4, 3^((k-4)/2), 2^(n-k-1), 1^((k+4)/2)) for even k and
+    (3^((k-1)/2), 2^(n-k-1), 1^((k+3)/2)) for odd k."""
+    if k % 2 == 0:
+        return (4,) + (3,) * ((k - 4) // 2) + (2,) * (n - k - 1) + (1,) * ((k + 4) // 2)
+    return (3,) * ((k - 1) // 2) + (2,) * (n - k - 1) + (1,) * ((k + 3) // 2)
+
+
+def _st_parity_r0(n: int, k: int, alpha: float) -> float:
+    base = 2.0**alpha * n + (3.0**alpha - 2.0 ** (alpha + 1) + 1.0) / 2.0 * k
+    if k % 2 == 0:
+        return base + 4.0**alpha - 2.0 * 3.0**alpha - 2.0**alpha + 2.0
+    return base + (3.0 - 3.0**alpha - 2.0 ** (alpha + 1)) / 2.0
+
+
+def _st_parity_sei(n: int, k: int, a: float) -> float:
+    base = 2.0 * a * a * n + (3.0 * a**3 - 4.0 * a * a + a) / 2.0 * k
+    if k % 2 == 0:
+        return base + 4.0 * a**4 - 6.0 * a**3 - 2.0 * a * a + 2.0 * a
+    return base + (3.0 * a - 3.0 * a**3 - 4.0 * a * a) / 2.0
+
+
+@dataclass(frozen=True)
+class _Theorem:
+    family: str | None  # None: all n-vertex trees
+    degseq: Callable[[int, int | None], tuple[int, ...]]
+    # closed forms value(n, param, x); None means summing the equality sequence
+    r0: Callable[[int, int | None, float], float] | None
+    sei: Callable[[int, int | None, float], float] | None
+    directions: tuple[str | None, ...]  # per regime, in REGIMES order
+
+
+_THEOREMS = {
+    "pt-spider": _Theorem(
+        "pt",
+        lambda n, n1: (n1,) + (2,) * (n - n1 - 1) + (1,) * n1,
+        lambda n, n1, al: 2.0**al * n + float(n1) ** al - (2.0**al - 1.0) * n1 - 2.0**al,
+        lambda n, n1, a: 2.0 * a * a * n + (a**n1 - 2.0 * a * a + a) * n1 - 2.0 * a * a,
+        ("max", "min", None, "min", "min"),
+    ),
+    "pt-balanced": _Theorem("pt", _balanced_degseq, None, None, ("min", "max", None, "max", "max")),
+    "bt-small": _Theorem(
+        "bt",
+        lambda n, b: (3,) * b + (2,) * (n - 2 * b - 2) + (1,) * (b + 2),
+        lambda n, b, al: 2.0**al * n + (3.0**al - 2.0 ** (al + 1) + 1.0) * b - 2.0 ** (al + 1) + 2.0,
+        lambda n, b, a: 2.0 * a * a * n + (3.0 * a**3 - 4.0 * a * a + a) * b - 2.0 * a * (2.0 * a - 1.0),
+        ("min", "max", "min", "max", "max"),
+    ),
+    # (n-2b+1, 3^(b-1), 1^(n-b)): no degree-2 vertex, at most one above 3
+    "bt-big": _Theorem(
+        "bt",
+        lambda n, b: (n - 2 * b + 1,) + (3,) * (b - 1) + (1,) * (n - b),
+        lambda n, b, al: float(n - 2 * b + 1) ** al + n + (3.0**al - 1.0) * b - 3.0**al,
+        lambda n, b, a: (n - 2 * b + 1) * a ** (n - 2 * b + 1) + n * a + (3.0 * a**3 - a) * b - 3.0 * a**3,
+        ("max", "min", "max", "min", "min"),
+    ),
+    # (k, 2^(n-k-1), 1^k): the squeeze is a star
+    "st-star": _Theorem(
+        "st",
+        lambda n, k: (k,) + (2,) * (n - k - 1) + (1,) * k,
+        lambda n, k, al: 2.0**al * n + float(k) ** al - (2.0**al - 1.0) * k - 2.0**al,
+        lambda n, k, a: 2.0 * a * a * n + k * a**k - (2.0 * a - 1.0) * a * k - 2.0 * a * a,
+        ("max", "min", "max", None, None),
+    ),
+    "st-parity": _Theorem("st", _st_parity_degseq, _st_parity_r0, _st_parity_sei,
+                          ("min", "max", "min", "max", None)),
+    "star": _Theorem(
+        None,
+        lambda n, _: (n - 1,) + (1,) * (n - 1),
+        lambda n, _, al: float(n - 1) ** al + (n - 1),
+        lambda n, _, a: (n - 1) * a ** (n - 1) + (n - 1) * a,
+        ("max", "min", "max", None, None),
+    ),
 }
 
-# direction claimed per a regime: (above_one, window, low)
-_SEI_DIRECTIONS = {
-    "pt-spider": (None, "min", "min"),
-    "pt-balanced": (None, "max", "max"),
-    "bt-small": ("min", "max", "max"),
-    "bt-big": ("max", "min", "min"),
-    "st-star": ("max", None, None),
-    "st-parity": ("min", "max", None),
-    "star": ("max", None, None),
-}
+THEOREM_NAMES = tuple(_THEOREMS)
+THEOREM_FAMILY = {name: th.family for name, th in _THEOREMS.items()}
 
 
-def _one_of(alpha, a) -> None:
-    if (alpha is None) == (a is None):
-        raise ValueError("exactly one of alpha, a must be given")
+def _theorem(theorem: str) -> _Theorem:
+    if theorem not in _THEOREMS:
+        raise ValueError(f"unknown theorem {theorem!r}")
+    return _THEOREMS[theorem]
 
 
 def claimed_direction(theorem: str, *, alpha: float | None = None, a: float | None = None) -> str | None:
     """The bound's claimed direction in the regime of the given parameter."""
-    _one_of(alpha, a)
-    if theorem not in THEOREM_NAMES:
-        raise ValueError(f"unknown theorem {theorem!r}")
-    if alpha is not None:
-        convex, concave = _R0_DIRECTIONS[theorem]
-        return concave if 0.0 < validate_alpha(alpha) < 1.0 else convex
-    above, window, low = _SEI_DIRECTIONS[theorem]
-    a = validate_a(a)
-    if a > 1.0:
-        return above
-    return window if a > WINDOW_LOW_A else low
-
-
-def pt_spider_bound(n: int, n1: int, *, alpha: float | None = None, a: float | None = None) -> BoundValue:
-    """Bound attained by the spider-type sequence (n1, 2^(n-n1-1), 1^n1)."""
-    FamilyConstraint("pt", n, n1)
-    _one_of(alpha, a)
-    seq = DegreeSequence((n1,) + (2,) * (n - n1 - 1) + (1,) * n1)
-    if alpha is not None:
-        alpha = validate_alpha(alpha)
-        value = 2.0**alpha * n + float(n1) ** alpha - (2.0**alpha - 1.0) * n1 - 2.0**alpha
-    else:
-        a = validate_a(a)
-        value = 2.0 * a * a * n + (a**n1 - 2.0 * a * a + a) * n1 - 2.0 * a * a
-    return BoundValue(value, claimed_direction("pt-spider", alpha=alpha, a=a), seq)
-
-
-def pt_balanced_bound(n: int, n1: int, *, alpha: float | None = None, a: float | None = None) -> BoundValue:
-    """Bound attained by the near-regular split from balanced_counts."""
-    _one_of(alpha, a)
-    bc = balanced_counts(n, n1)
-    seq = DegreeSequence((bc.t + 1,) * bc.count_t1 + (bc.t,) * bc.count_t + (1,) * n1)
-    value = r0_of_degseq(seq, alpha) if alpha is not None else sei_of_degseq(seq, a)
-    return BoundValue(value, claimed_direction("pt-balanced", alpha=alpha, a=a), seq)
-
-
-def bt_bound_small_degrees(n: int, b: int, *, alpha: float | None = None, a: float | None = None) -> BoundValue:
-    """Bound attained when every branching vertex has degree exactly 3."""
-    FamilyConstraint("bt", n, b)
-    _one_of(alpha, a)
-    seq = DegreeSequence((3,) * b + (2,) * (n - 2 * b - 2) + (1,) * (b + 2))
-    if alpha is not None:
-        alpha = validate_alpha(alpha)
-        value = 2.0**alpha * n + (3.0**alpha - 2.0 ** (alpha + 1) + 1.0) * b - 2.0 ** (alpha + 1) + 2.0
-    else:
-        a = validate_a(a)
-        value = 2.0 * a * a * n + (3.0 * a**3 - 4.0 * a * a + a) * b - 2.0 * a * (2.0 * a - 1.0)
-    return BoundValue(value, claimed_direction("bt-small", alpha=alpha, a=a), seq)
-
-
-def bt_bound_one_big_vertex(n: int, b: int, *, alpha: float | None = None, a: float | None = None) -> BoundValue:
-    """Bound attained by (n-2b+1, 3^(b-1), 1^(n-b)): no degree-2 vertex,
-    at most one vertex of degree above 3."""
-    FamilyConstraint("bt", n, b)
-    _one_of(alpha, a)
-    big = n - 2 * b + 1
-    seq = DegreeSequence((big,) + (3,) * (b - 1) + (1,) * (n - b))
-    if alpha is not None:
-        alpha = validate_alpha(alpha)
-        value = float(big) ** alpha + n + (3.0**alpha - 1.0) * b - 3.0**alpha
-    else:
-        a = validate_a(a)
-        value = big * a**big + n * a + (3.0 * a**3 - a) * b - 3.0 * a**3
-    return BoundValue(value, claimed_direction("bt-big", alpha=alpha, a=a), seq)
-
-
-def st_star_side_bound(n: int, k: int, *, alpha: float | None = None, a: float | None = None) -> BoundValue:
-    """Bound attained by (k, 2^(n-k-1), 1^k): the squeeze is a star."""
-    FamilyConstraint("st", n, k)
-    _one_of(alpha, a)
-    seq = DegreeSequence((k,) + (2,) * (n - k - 1) + (1,) * k)
-    if alpha is not None:
-        alpha = validate_alpha(alpha)
-        value = 2.0**alpha * n + float(k) ** alpha - (2.0**alpha - 1.0) * k - 2.0**alpha
-    else:
-        a = validate_a(a)
-        value = 2.0 * a * a * n + k * a**k - (2.0 * a - 1.0) * a * k - 2.0 * a * a
-    return BoundValue(value, claimed_direction("st-star", alpha=alpha, a=a), seq)
-
-
-def st_parity_bound(n: int, k: int, *, alpha: float | None = None, a: float | None = None) -> BoundValue:
-    """Parity-split bound: max degree 4 with at most one degree-4 vertex.
-
-    Equality sequence is (4, 3^((k-4)/2), 2^(n-k-1), 1^((k+4)/2)) for
-    even k and (3^((k-1)/2), 2^(n-k-1), 1^((k+3)/2)) for odd k.
-    """
-    FamilyConstraint("st", n, k)
-    _one_of(alpha, a)
-    even = k % 2 == 0
-    if even:
-        if k < 4:
-            raise ValueError("even segment count must be at least 4")
-        seq = DegreeSequence((4,) + (3,) * ((k - 4) // 2) + (2,) * (n - k - 1) + (1,) * ((k + 4) // 2))
-    else:
-        seq = DegreeSequence((3,) * ((k - 1) // 2) + (2,) * (n - k - 1) + (1,) * ((k + 3) // 2))
-    if alpha is not None:
-        alpha = validate_alpha(alpha)
-        base = 2.0**alpha * n + (3.0**alpha - 2.0 ** (alpha + 1) + 1.0) / 2.0 * k
-        if even:
-            value = base + 4.0**alpha - 2.0 * 3.0**alpha - 2.0**alpha + 2.0
-        else:
-            value = base + (3.0 - 3.0**alpha - 2.0 ** (alpha + 1)) / 2.0
-    else:
-        a = validate_a(a)
-        base = 2.0 * a * a * n + (3.0 * a**3 - 4.0 * a * a + a) / 2.0 * k
-        if even:
-            value = base + 4.0 * a**4 - 6.0 * a**3 - 2.0 * a * a + 2.0 * a
-        else:
-            value = base + (3.0 * a - 3.0 * a**3 - 4.0 * a * a) / 2.0
-    return BoundValue(value, claimed_direction("st-parity", alpha=alpha, a=a), seq)
-
-
-def star_global_bound(n: int, *, alpha: float | None = None, a: float | None = None) -> BoundValue:
-    """Star bound over all n-vertex trees (n >= 4)."""
-    if n < 4:
-        raise ValueError("star bound requires n >= 4")
-    _one_of(alpha, a)
-    seq = DegreeSequence((n - 1,) + (1,) * (n - 1))
-    if alpha is not None:
-        alpha = validate_alpha(alpha)
-        value = float(n - 1) ** alpha + (n - 1)
-    else:
-        a = validate_a(a)
-        value = (n - 1) * a ** (n - 1) + (n - 1) * a
-    return BoundValue(value, claimed_direction("star", alpha=alpha, a=a), seq)
-
-
-_BOUND_FUNCTIONS = {
-    "pt-spider": pt_spider_bound,
-    "pt-balanced": pt_balanced_bound,
-    "bt-small": bt_bound_small_degrees,
-    "bt-big": bt_bound_one_big_vertex,
-    "st-star": st_star_side_bound,
-    "st-parity": st_parity_bound,
-}
+    index = Index.of(alpha=alpha, a=a)
+    return index.claim(_theorem(theorem).directions)
 
 
 def theorem_bound(theorem: str, n: int, param: int | None = None, *,
                   alpha: float | None = None, a: float | None = None) -> BoundValue:
-    """Dispatch a bound by theorem name ("star" takes no family parameter)."""
-    if theorem == "star":
+    """A theorem's bound ("star" takes no family parameter)."""
+    th = _theorem(theorem)
+    if th.family is None:
         if param is not None:
             raise ValueError("the star bound takes no family parameter")
-        return star_global_bound(n, alpha=alpha, a=a)
-    if theorem not in _BOUND_FUNCTIONS:
-        raise ValueError(f"unknown theorem {theorem!r}")
-    if param is None:
+        if n < 4:
+            raise ValueError("star bound requires n >= 4")
+    elif param is None:
         raise ValueError(f"{theorem} requires a family parameter")
-    return _BOUND_FUNCTIONS[theorem](n, param, alpha=alpha, a=a)
+    else:
+        FamilyConstraint(th.family, n, param)
+    index = Index.of(alpha=alpha, a=a)
+    seq = DegreeSequence(th.degseq(n, param))
+    closed_form = th.r0 if index.kind == "r0" else th.sei
+    value = index.of_degseq(seq) if closed_form is None else closed_form(n, param, index.x)
+    return BoundValue(value, index.claim(th.directions), seq)
 
 
 def construct_extremal(theorem: str, n: int, param: int | None = None) -> Tree:
@@ -315,13 +241,12 @@ def construct_extremal(theorem: str, n: int, param: int | None = None) -> Tree:
     tree = realize_caterpillar(bound.equality_degseq)
     profile = structural_profile(tree)
     family = THEOREM_FAMILY[theorem]
-    if family == "pt":
-        assert profile.n1 == param
-    elif family == "st":
-        assert profile.k == param
-    elif family == "bt":
-        assert profile.b == param
+    if family is None:
+        member = profile.max_degree == n - 1
     else:
-        assert profile.max_degree == n - 1
-    assert values_close(r0_of_degseq(tree.degree_sequence(), 2.0), bound.value)
+        member = family_param(family, profile) == param
+    if not member:
+        raise ValueError(f"{theorem} realization for n={n}, param={param} is not in the family")
+    if not values_close(Index.of(alpha=2.0).of_tree(tree), bound.value):
+        raise ValueError(f"{theorem} realization for n={n}, param={param} misses the closed form")
     return tree

@@ -16,9 +16,16 @@ import sys
 import time
 from pathlib import Path
 
-from .bounds import THEOREM_FAMILY, THEOREM_NAMES, FamilyConstraint, construct_extremal, theorem_bound
+from .bounds import (
+    FAMILY_PARAM,
+    THEOREM_FAMILY,
+    THEOREM_NAMES,
+    FamilyConstraint,
+    construct_extremal,
+    theorem_bound,
+)
 from .enumeration import family_members, free_trees
-from .indices import r0_general, sei
+from .indices import Index
 from .trees import parse_tree, squeeze
 from .transforms import TRANSFORMS, predicted_delta
 from .verify import check_theorem, reports_to_csv, reports_to_json
@@ -45,17 +52,12 @@ def _read_tree(path: str):
     return parse_tree(text)
 
 
-def _index_value(tree, alpha, a):
-    if alpha is not None:
-        return "r0", alpha, r0_general(tree, alpha)
-    return "sei", a, sei(tree, a)
-
-
 def _cmd_index(args) -> int:
     tree = _read_tree(args.input)
-    kind, x, value = _index_value(tree, args.alpha, args.a)
+    index = Index.of(alpha=args.alpha, a=args.a)
+    value = index.of_tree(tree)
     if args.json:
-        print(json.dumps({"index": kind, "index_param": x, "n": tree.n, "value": value}))
+        print(json.dumps({"index": index.kind, "index_param": index.x, "n": tree.n, "value": value}))
     else:
         print(_fmt(value))
     return 0
@@ -69,7 +71,7 @@ def _theorem_param(args) -> int | None:
         if set_flags:
             raise _UsageError("the star theorem takes no --n1/--k/--b flag")
         return None
-    expected = {"pt": "n1", "st": "k", "bt": "b"}[family]
+    expected = FAMILY_PARAM[family][0]
     if set_flags != [expected]:
         raise _UsageError(f"theorem {args.theorem} requires exactly --{expected}")
     return given[expected]
@@ -77,7 +79,8 @@ def _theorem_param(args) -> int | None:
 
 def _cmd_bound(args) -> int:
     param = _theorem_param(args)
-    bound = theorem_bound(args.theorem, args.n, param, alpha=args.alpha, a=args.a)
+    index = Index.of(alpha=args.alpha, a=args.a)
+    bound = theorem_bound(args.theorem, args.n, param, **index.keyword)
     if args.json:
         print(
             json.dumps(
@@ -85,8 +88,8 @@ def _cmd_bound(args) -> int:
                     "theorem": args.theorem,
                     "n": args.n,
                     "param": param,
-                    "index": "r0" if args.alpha is not None else "sei",
-                    "index_param": args.alpha if args.alpha is not None else args.a,
+                    "index": index.kind,
+                    "index_param": index.x,
                     "value": bound.value,
                     "direction": bound.direction,
                     "degree_sequence": list(bound.equality_degseq.degrees),
@@ -134,13 +137,12 @@ def _cmd_transform(args) -> int:
     move = TRANSFORMS[args.lemma](tree)
     deltas = {}
     if args.alpha is not None or args.a is not None:
-        kind, x, before_value = _index_value(move.before, args.alpha, args.a)
-        _, _, after_value = _index_value(move.after, args.alpha, args.a)
+        index = Index.of(alpha=args.alpha, a=args.a)
         deltas = {
-            "index": kind,
-            "index_param": x,
-            "predicted_delta": predicted_delta(move, alpha=args.alpha, a=args.a),
-            "actual_delta": before_value - after_value,
+            "index": index.kind,
+            "index_param": index.x,
+            "predicted_delta": predicted_delta(move, **index.keyword),
+            "actual_delta": index.of_tree(move.before) - index.of_tree(move.after),
         }
     if args.json:
         print(

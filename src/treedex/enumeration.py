@@ -13,37 +13,12 @@ the independent cross-check oracle for small n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from .bounds import FamilyConstraint
+from .bounds import FamilyConstraint, family_param
 from .trees import Tree, canonical_code, structural_profile
 
 DEFAULT_MAX_N = 18
-
-
-@dataclass(frozen=True)
-class EnumerationTask:
-    """A bounded enumeration request: size, optional family filter, cap."""
-
-    n: int
-    constraint: FamilyConstraint | None = None
-    limit: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.constraint is not None and self.constraint.n != self.n:
-            raise ValueError("constraint size differs from task size")
-
-    def run(self, max_n: int = DEFAULT_MAX_N):
-        stream = (
-            free_trees(self.n, max_n)
-            if self.constraint is None
-            else family_members(self.constraint, max_n)
-        )
-        for i, t in enumerate(stream):
-            if self.limit is not None and i >= self.limit:
-                return
-            yield t
 
 
 def _next_rooted(layout: list[int], p: int | None = None) -> list[int] | None:
@@ -124,20 +99,8 @@ def family_members(c: FamilyConstraint, max_n: int = DEFAULT_MAX_N):
     For ST this is exactly the set of trees with n2 = n - k - 1.
     """
     for t in free_trees(c.n, max_n):
-        profile = structural_profile(t)
-        value = {"pt": profile.n1, "st": profile.k, "bt": profile.b}[c.kind]
-        if value == c.param:
+        if family_param(c.kind, structural_profile(t)) == c.param:
             yield t
-
-
-def family_census(n: int, max_n: int = DEFAULT_MAX_N) -> dict[tuple[int, int, int], int]:
-    """Counts of free trees per (n1, k, b) cell."""
-    census: dict[tuple[int, int, int], int] = {}
-    for t in free_trees(n, max_n):
-        profile = structural_profile(t)
-        key = (profile.n1, profile.k, profile.b)
-        census[key] = census.get(key, 0) + 1
-    return census
 
 
 def _prufer_edges(seq: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:

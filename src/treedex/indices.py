@@ -14,17 +14,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .trees import DegreeSequence, Tree
+from .trees import Tree
 
 # Boundary between the "window" and "low" regimes for a < 1: the positive
 # root of 8a^2 - a - 1, from 8a^3 - 9a^2 + 1 = (a - 1)(8a^2 - a - 1).
 WINDOW_LOW_A = (1.0 + math.sqrt(33.0)) / 16.0
 
-CONVEX = "convex"          # alpha < 0 or alpha > 1
-CONCAVE = "concave"        # 0 < alpha < 1
-ABOVE_ONE = "above_one"    # a > 1
-WINDOW = "window"          # WINDOW_LOW_A < a < 1
-LOW = "low"                # 0 < a <= WINDOW_LOW_A
+# Column order of every per-regime claim table (bound directions, move signs):
+#   convex     alpha < 0 or alpha > 1
+#   concave    0 < alpha < 1
+#   above_one  a > 1
+#   window     WINDOW_LOW_A < a < 1
+#   low        0 < a <= WINDOW_LOW_A
+REGIMES = ("convex", "concave", "above_one", "window", "low")
 
 # Comparison tolerances used across bounds and verification.
 REL_TOL = 1e-9
@@ -36,81 +38,72 @@ def values_close(x: float, y: float) -> bool:
     return abs(x - y) <= max(REL_TOL * max(abs(x), abs(y)), ABS_TOL)
 
 
-def validate_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if alpha == 0.0 or alpha == 1.0:
-        raise ValueError("alpha must be a real number other than 0 and 1")
-    return alpha
-
-
-def validate_a(a: float) -> float:
-    a = float(a)
-    if a <= 0.0 or a == 1.0:
-        raise ValueError("a must be a positive real number different from 1")
-    return a
-
-
 @dataclass(frozen=True)
-class IndexParams:
-    """Exponent pair: alpha for the power sum, a for the weighted expsum."""
+class Index:
+    """One of the two indices at a validated parameter x.
 
-    alpha: float | None = None
-    a: float | None = None
+    kind is "r0" (x = alpha) or "sei" (x = a); regime is one of REGIMES.
+    Build it with Index.of, the only place that validates parameters.
+    """
 
-    def __post_init__(self) -> None:
-        if self.alpha is None and self.a is None:
-            raise ValueError("at least one of alpha, a is required")
-        if self.alpha is not None:
-            validate_alpha(self.alpha)
-        if self.a is not None:
-            validate_a(self.a)
+    kind: str
+    x: float
+    regime: str
 
+    @classmethod
+    def of(cls, *, alpha: float | None = None, a: float | None = None) -> Index:
+        if (alpha is None) == (a is None):
+            raise ValueError("exactly one of alpha, a must be given")
+        name, x = ("alpha", alpha) if alpha is not None else ("a", a)
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
+        if name == "alpha":
+            if x == 0.0 or x == 1.0:
+                raise ValueError("alpha must be a real number other than 0 and 1")
+            return cls("r0", x, "concave" if 0.0 < x < 1.0 else "convex")
+        if x <= 0.0 or x == 1.0:
+            raise ValueError("a must be a positive real number different from 1")
+        return cls("sei", x, "above_one" if x > 1.0 else "window" if x > WINDOW_LOW_A else "low")
 
-@dataclass(frozen=True)
-class Regime:
-    r0_regime: str | None
-    sei_regime: str | None
+    @property
+    def keyword(self) -> dict[str, float]:
+        """The keyword form, {"alpha": x} or {"a": x}, of the public API."""
+        return {"alpha" if self.kind == "r0" else "a": self.x}
 
+    def claim(self, row: tuple):
+        """This regime's entry of a row laid out in REGIMES order."""
+        return row[REGIMES.index(self.regime)]
 
-def classify_regime(params: IndexParams) -> Regime:
-    """Open-interval regime labels; boundary values are already rejected."""
-    r0 = None
-    if params.alpha is not None:
-        r0 = CONCAVE if 0.0 < params.alpha < 1.0 else CONVEX
-    sei = None
-    if params.a is not None:
-        if params.a > 1.0:
-            sei = ABOVE_ONE
-        elif params.a > WINDOW_LOW_A:
-            sei = WINDOW
-        else:
-            sei = LOW
-    return Regime(r0, sei)
+    def term(self, d: int) -> float:
+        """Contribution of one vertex of degree d."""
+        return d**self.x if self.kind == "r0" else d * self.x**d
 
+    def of_degseq(self, d) -> float:
+        x = self.x
+        if self.kind == "r0":
+            return math.fsum(v**x for v in d)
+        return math.fsum(v * x**v for v in d)
 
-def _degrees(d) -> tuple[int, ...]:
-    return d.degrees if isinstance(d, DegreeSequence) else tuple(d)
+    def of_tree(self, t: Tree) -> float:
+        if t.n < 2:
+            raise ValueError("index is defined for n >= 2")
+        return self.of_degseq(t.degrees)
 
 
 def r0_of_degseq(d, alpha: float) -> float:
-    alpha = validate_alpha(alpha)
-    return math.fsum(x**alpha for x in _degrees(d))
+    return Index.of(alpha=alpha).of_degseq(d)
 
 
 def sei_of_degseq(d, a: float) -> float:
-    a = validate_a(a)
-    return math.fsum(x * a**x for x in _degrees(d))
+    return Index.of(a=a).of_degseq(d)
 
 
 def r0_general(t: Tree, alpha: float) -> float:
     """sum_v d_v**alpha over the tree's vertices (n >= 2)."""
-    if t.n < 2:
-        raise ValueError("index is defined for n >= 2")
-    return r0_of_degseq(t.degrees, alpha)
+    return Index.of(alpha=alpha).of_tree(t)
 
 
 def sei(t: Tree, a: float) -> float:
     """sum_v d_v * a**d_v over the tree's vertices (n >= 2)."""
-    if t.n < 2:
-        raise ValueError("index is defined for n >= 2")
-    return sei_of_degseq(t.degrees, a)
+    return Index.of(a=a).of_tree(t)

@@ -26,17 +26,18 @@ that realization (same degree sequence as the input).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .indices import WINDOW_LOW_A, validate_a, validate_alpha
+from .indices import Index
 from .trees import Tree, realize_caterpillar
-
-TRANSFORM_KINDS = ("p1", "p2", "b1", "b3", "b4", "s1a", "s1aa")
 
 
 @dataclass(frozen=True)
 class MoveRecord:
-    """One applied move: the trees, the edge diff, and the key vertices.
+    """One applied move: the trees, the edge diff, the key vertices, and
+    the (before, after) degree of every vertex whose degree the move
+    changes, as the move itself accounts for it.
 
     actors by kind (degrees refer to `before`):
         p1:   (u, v, w)  u gains w, v loses w
@@ -54,6 +55,7 @@ class MoveRecord:
     removed_edges: tuple[tuple[int, int], ...]
     added_edges: tuple[tuple[int, int], ...]
     actors: tuple[int, ...]
+    degree_changes: tuple[tuple[int, int], ...]
 
 
 def _canon_order(t: Tree) -> list[int]:
@@ -70,11 +72,11 @@ def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
-def _record(kind: str, before: Tree, removed, added, actors) -> MoveRecord:
+def _record(kind: str, before: Tree, removed, added, actors, changes) -> MoveRecord:
     removed = tuple(_norm(*e) for e in removed)
     added = tuple(_norm(*e) for e in added)
     after = before.replace_edges(removed, added)
-    return MoveRecord(kind, before, after, removed, added, tuple(actors))
+    return MoveRecord(kind, before, after, removed, added, tuple(actors), tuple(changes))
 
 
 def apply_p1(t: Tree) -> MoveRecord:
@@ -87,7 +89,8 @@ def apply_p1(t: Tree) -> MoveRecord:
     u, v = branching[0], branching[1]
     path = t.path_between(u, v)
     w = _pick(t, (x for x in t.adjacency[v] if x != path[-2]))
-    return _record("p1", t, [(v, w)], [(u, w)], (u, v, w))
+    return _record("p1", t, [(v, w)], [(u, w)], (u, v, w),
+                   [(deg[u], deg[u] + 1), (deg[v], deg[v] - 1)])
 
 
 def apply_p2(t: Tree) -> MoveRecord:
@@ -104,7 +107,8 @@ def apply_p2(t: Tree) -> MoveRecord:
         raise ValueError("no internal pair with degree gap >= 2")
     path = t.path_between(u, v)
     w = _pick(t, (x for x in t.adjacency[u] if x != path[1]))
-    return _record("p2", t, [(u, w)], [(v, w)], (u, v, w))
+    return _record("p2", t, [(u, w)], [(v, w)], (u, v, w),
+                   [(deg[u], deg[u] - 1), (deg[v], deg[v] + 1)])
 
 
 def _branch_depth(t: Tree, u: int, root: int) -> tuple[int, int]:
@@ -147,7 +151,9 @@ def apply_b1(t: Tree) -> MoveRecord:
     (e1, r1), (e2, r2) = best[1], best[2]
     endpoint = max(e1, e2)
     w = _pick(t, (x for x in t.adjacency[u] if x not in (r1, r2)))
-    return _record("b1", t, [(u, w)], [(w, endpoint)], (u, w, endpoint))
+    # the endpoint is the deepest vertex of its branch, hence a pendant
+    return _record("b1", t, [(u, w)], [(w, endpoint)], (u, w, endpoint),
+                   [(deg[u], deg[u] - 1), (1, 2)])
 
 
 def apply_b3(t: Tree) -> MoveRecord:
@@ -161,7 +167,8 @@ def apply_b3(t: Tree) -> MoveRecord:
     toward = t.path_between(v, u)[1]
     others = sorted((x for x in t.adjacency[v] if x != toward), key=lambda x: (-deg[x], x))
     moved = sorted(others[2:])
-    return _record("b3", t, [(v, x) for x in moved], [(u, x) for x in moved], (u, v))
+    return _record("b3", t, [(v, x) for x in moved], [(u, x) for x in moved], (u, v),
+                   [(deg[v], 3), (deg[u], deg[u] + deg[v] - 3)])
 
 
 def apply_b4(t: Tree) -> MoveRecord:
@@ -175,7 +182,8 @@ def apply_b4(t: Tree) -> MoveRecord:
         if twos:
             v = min(twos)
             w = next(x for x in t.adjacency[v] if x != u)
-            return _record("b4", t, [(v, w)], [(u, w)], (u, v, w))
+            return _record("b4", t, [(v, w)], [(u, w)], (u, v, w),
+                           [(2, 1), (deg[u], deg[u] + 1)])
     raise ValueError("no degree-2 vertex adjacent to a branching vertex")
 
 
@@ -208,6 +216,7 @@ def apply_s1a(t: Tree) -> MoveRecord:
         [(vi, u1), (vi, u2)],
         [(u1, endpoint), (u2, endpoint)],
         (vi, endpoint, u1, u2),
+        [(deg[vi], deg[vi] - 2), (1, 3)],
     )
 
 
@@ -230,6 +239,7 @@ def apply_s1aa(t: Tree) -> MoveRecord:
         [(vi, u1), (vj, u2)],
         [(u1, endpoint), (u2, endpoint)],
         (vi, vj, endpoint, u1, u2),
+        [(4, 3), (4, 3), (1, 3)],
     )
 
 
@@ -244,110 +254,33 @@ TRANSFORMS = {
 }
 
 
-def apply_transform(kind: str, t: Tree) -> MoveRecord:
-    if kind not in TRANSFORMS:
-        raise ValueError(f"unknown transform {kind!r}")
-    return TRANSFORMS[kind](t)
-
-
 def predicted_delta(move: MoveRecord, *, alpha: float | None = None, a: float | None = None) -> float:
-    """Closed-form index(before) - index(after) from the move's own
-    degree bookkeeping (never from diffing the trees)."""
-    if (alpha is None) == (a is None):
-        raise ValueError("exactly one of alpha, a must be given")
-    deg = move.before.degrees
-    kind = move.kind
-    if alpha is not None:
-        alpha = validate_alpha(alpha)
-
-        def f(x: int) -> float:
-            return float(x) ** alpha
-
-        two = 2.0**alpha
-        three = 3.0**alpha
-        if kind == "p1":
-            du, dv = deg[move.actors[0]], deg[move.actors[1]]
-            return f(dv) - f(dv - 1) - (f(du + 1) - f(du))
-        if kind == "p2":
-            du, dv = deg[move.actors[0]], deg[move.actors[1]]
-            return f(du) - f(du - 1) - (f(dv + 1) - f(dv))
-        if kind == "b1":
-            du = deg[move.actors[0]]
-            return f(du) - f(du - 1) - (two - 1.0)
-        if kind == "b3":
-            du, dv = deg[move.actors[0]], deg[move.actors[1]]
-            return f(dv) - three - (f(du + dv - 3) - f(du))
-        if kind == "b4":
-            du = deg[move.actors[0]]
-            return two - 1.0 - (f(du + 1) - f(du))
-        if kind == "s1a":
-            d = deg[move.actors[0]]
-            return f(d) - f(d - 2) - (three - 1.0)
-        if kind == "s1aa":
-            return 2.0 * (4.0**alpha - three) - (three - 1.0)
-        raise ValueError(f"unknown transform {kind!r}")
-
-    a = validate_a(a)
-
-    def g(x: int) -> float:
-        return x * a**x
-
-    if kind == "p1":
-        du, dv = deg[move.actors[0]], deg[move.actors[1]]
-        return g(dv) - g(dv - 1) - (g(du + 1) - g(du))
-    if kind == "p2":
-        du, dv = deg[move.actors[0]], deg[move.actors[1]]
-        return g(du) - g(du - 1) - (g(dv + 1) - g(dv))
-    if kind == "b1":
-        du = deg[move.actors[0]]
-        return g(du) - g(du - 1) - (2.0 * a * a - a)
-    if kind == "b3":
-        du, dv = deg[move.actors[0]], deg[move.actors[1]]
-        return g(dv) - 3.0 * a**3 - (g(du + dv - 3) - g(du))
-    if kind == "b4":
-        du = deg[move.actors[0]]
-        return 2.0 * a * a - a - (g(du + 1) - g(du))
-    if kind == "s1a":
-        d = deg[move.actors[0]]
-        return g(d) - g(d - 2) - (3.0 * a**3 - a)
-    if kind == "s1aa":
-        return a * (8.0 * a**3 - 9.0 * a * a + 1.0)
-    raise ValueError(f"unknown transform {kind!r}")
+    """index(before) - index(after) from the move's own degree bookkeeping
+    (never from diffing the trees): the sum of term(before) - term(after)
+    over move.degree_changes."""
+    index = Index.of(alpha=alpha, a=a)
+    return math.fsum(
+        term for d0, d1 in move.degree_changes for term in (index.term(d0), -index.term(d1))
+    )
 
 
-# Claimed sign of index(before) - index(after) per regime.
-_R0_SIGNS = {  # (convex, concave)
-    "p1": (-1, +1),
-    "p2": (+1, -1),
-    "b1": (+1, -1),
-    "b3": (-1, +1),
-    "b4": (-1, +1),
-    "s1a": (+1, -1),
-    "s1aa": (+1, -1),
-}
-_SEI_SIGNS = {  # (above_one, window, low)
-    "p1": (None, +1, +1),
-    "p2": (None, -1, -1),
-    "b1": (+1, -1, -1),
-    "b3": (-1, +1, +1),
-    "b4": (-1, +1, +1),
-    "s1a": (+1, -1, -1),
-    "s1aa": (+1, -1, None),
+# Claimed sign of index(before) - index(after), per regime in REGIMES order:
+# (convex, concave, above_one, window, low).
+_SIGNS = {
+    "p1": (-1, +1, None, +1, +1),
+    "p2": (+1, -1, None, -1, -1),
+    "b1": (+1, -1, +1, -1, -1),
+    "b3": (-1, +1, -1, +1, +1),
+    "b4": (-1, +1, -1, +1, +1),
+    "s1a": (+1, -1, +1, -1, -1),
+    "s1aa": (+1, -1, +1, -1, None),
 }
 
 
 def claimed_sign(kind: str, *, alpha: float | None = None, a: float | None = None) -> int | None:
     """Lemma-claimed sign of index(before) - index(after) in this regime,
     or None where no sign is claimed."""
-    if (alpha is None) == (a is None):
-        raise ValueError("exactly one of alpha, a must be given")
+    index = Index.of(alpha=alpha, a=a)
     if kind not in TRANSFORMS:
         raise ValueError(f"unknown transform {kind!r}")
-    if alpha is not None:
-        convex, concave = _R0_SIGNS[kind]
-        return concave if 0.0 < validate_alpha(alpha) < 1.0 else convex
-    above, window, low = _SEI_SIGNS[kind]
-    a = validate_a(a)
-    if a > 1.0:
-        return above
-    return window if a > WINDOW_LOW_A else low
+    return index.claim(_SIGNS[kind])

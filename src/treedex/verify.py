@@ -25,24 +25,12 @@ from .bounds import (
     FamilyConstraint,
     balanced_counts,
     balanced_counts_formula,
+    family_param,
+    family_params,
     theorem_bound,
 )
 from .enumeration import free_trees
-from .indices import (
-    ABOVE_ONE,
-    ABS_TOL,
-    CONCAVE,
-    CONVEX,
-    LOW,
-    REL_TOL,
-    WINDOW,
-    WINDOW_LOW_A,
-    r0_general,
-    r0_of_degseq,
-    sei,
-    sei_of_degseq,
-    values_close,
-)
+from .indices import ABS_TOL, REL_TOL, WINDOW_LOW_A, Index, values_close
 from .trees import canonical_code, structural_profile
 from .transforms import TRANSFORMS, claimed_sign
 
@@ -52,15 +40,6 @@ REFUTED = "REFUTED"
 DEFAULT_ALPHA_GRID = (-1.0, -0.5, 0.5, 2.0, 3.0)
 # Covers every regime, including both sides of the window boundary.
 DEFAULT_A_GRID = (0.2, 0.3, WINDOW_LOW_A + 0.01, 0.6, 0.9, 1.5, 2.0)
-
-# Stable ids for the seven bound statements.
-PT_MIN_SPIDER = "pt-spider"
-PT_BALANCED = "pt-balanced"
-BT_SMALL = "bt-small"
-BT_BIG = "bt-big"
-ST_STAR_SIDE = "st-star"
-ST_PARITY = "st-parity"
-STAR_GLOBAL = "star"
 
 
 @dataclass(frozen=True)
@@ -96,10 +75,7 @@ def _family_groups(kind: str | None, n: int):
     """param -> degseq -> records; kind None groups all trees under None."""
     groups: dict = {}
     for rec in _census(n):
-        if kind is None:
-            param = None
-        else:
-            param = {"pt": rec.n1, "st": rec.k, "bt": rec.b}[kind]
+        param = None if kind is None else family_param(kind, rec)
         groups.setdefault(param, {}).setdefault(rec.degseq, []).append(rec)
     return {
         param: {ds: tuple(rs) for ds, rs in by_seq.items()}
@@ -107,15 +83,11 @@ def _family_groups(kind: str | None, n: int):
     }
 
 
-def _scan(kind: str | None, n: int, param: int | None, direction: str, *,
-          alpha: float | None = None, a: float | None = None):
+def _scan(kind: str | None, n: int, param: int | None, direction: str, index: Index):
     by_seq = _family_groups(kind, n).get(param)
     if not by_seq:
         raise ValueError(f"empty family {kind}({n}, {param})")
-    if alpha is not None:
-        values = {ds: r0_of_degseq(ds, alpha) for ds in by_seq}
-    else:
-        values = {ds: sei_of_degseq(ds, a) for ds in by_seq}
+    values = {ds: index.of_degseq(ds) for ds in by_seq}
     best = min(values.values()) if direction == "min" else max(values.values())
     winners = tuple(sorted(ds for ds, val in values.items() if values_close(val, best)))
     witnesses = tuple(rec for ds in winners for rec in by_seq[ds])
@@ -128,9 +100,7 @@ def oracle_extremum(c: FamilyConstraint, direction: str, *,
     set of optimizing degree sequences."""
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
-    if (alpha is None) == (a is None):
-        raise ValueError("exactly one of alpha, a must be given")
-    best, winners, _ = _scan(c.kind, c.n, c.param, direction, alpha=alpha, a=a)
+    best, winners, _ = _scan(c.kind, c.n, c.param, direction, Index.of(alpha=alpha, a=a))
     return best, winners
 
 
@@ -169,13 +139,12 @@ class TheoremReport:
         }
 
 
-def _check_cell(theorem: str, n: int, param: int | None, *,
-                alpha: float | None = None, a: float | None = None) -> TheoremReport | None:
-    bound = theorem_bound(theorem, n, param, alpha=alpha, a=a)
+def _check_cell(theorem: str, n: int, param: int | None, index: Index) -> TheoremReport | None:
+    bound = theorem_bound(theorem, n, param, **index.keyword)
     if bound.direction is None:
         return None
     kind = THEOREM_FAMILY[theorem]
-    best, winners, witnesses = _scan(kind, n, param, bound.direction, alpha=alpha, a=a)
+    best, winners, witnesses = _scan(kind, n, param, bound.direction, index)
     expected = tuple(bound.equality_degseq.degrees)
     bound_matches = values_close(bound.value, best)
     equality_set_matches = winners == (expected,)
@@ -184,8 +153,8 @@ def _check_cell(theorem: str, n: int, param: int | None, *,
         theorem=theorem,
         n=n,
         param=param,
-        index_kind="r0" if alpha is not None else "sei",
-        index_param=float(alpha if alpha is not None else a),
+        index_kind=index.kind,
+        index_param=index.x,
         direction=bound.direction,
         bound=bound.value,
         oracle=best,
@@ -199,13 +168,8 @@ def _check_cell(theorem: str, n: int, param: int | None, *,
     )
 
 
-def _family_params(theorem: str, n: int) -> tuple[int | None, ...]:
-    kind = THEOREM_FAMILY[theorem]
-    if kind is None:
-        return (None,)
-    if kind == "bt":
-        return tuple(range(1, (n - 2) // 2 + 1))
-    return tuple(range(3, n - 1))
+def _grid(alpha_grid, a_grid) -> list[Index]:
+    return [Index.of(alpha=x) for x in alpha_grid] + [Index.of(a=x) for x in a_grid]
 
 
 def check_theorem(theorem: str, n_range, alpha_grid=DEFAULT_ALPHA_GRID,
@@ -213,15 +177,13 @@ def check_theorem(theorem: str, n_range, alpha_grid=DEFAULT_ALPHA_GRID,
     """One report per claimed cell, ordered by (n, param, index, value)."""
     if theorem not in THEOREM_NAMES:
         raise ValueError(f"unknown theorem {theorem!r}")
+    kind = THEOREM_FAMILY[theorem]
+    grid = _grid(alpha_grid, a_grid)
     reports = []
     for n in n_range:
-        for param in _family_params(theorem, n):
-            for alpha in alpha_grid:
-                report = _check_cell(theorem, n, param, alpha=alpha)
-                if report is not None:
-                    reports.append(report)
-            for a in a_grid:
-                report = _check_cell(theorem, n, param, a=a)
+        for param in (None,) if kind is None else family_params(kind, n):
+            for index in grid:
+                report = _check_cell(theorem, n, param, index)
                 if report is not None:
                     reports.append(report)
     return reports
@@ -260,14 +222,6 @@ class MonotonicityRow:
         }
 
 
-def _regime_label(*, alpha: float | None = None, a: float | None = None) -> str:
-    if alpha is not None:
-        return CONCAVE if 0.0 < alpha < 1.0 else CONVEX
-    if a > 1.0:
-        return ABOVE_ONE
-    return WINDOW if a > WINDOW_LOW_A else LOW
-
-
 def check_monotonicity(kind: str, n_range, alpha_grid=DEFAULT_ALPHA_GRID,
                        a_grid=DEFAULT_A_GRID) -> list[MonotonicityRow]:
     """Sign of the actual delta vs the claimed sign, over every applicable
@@ -275,6 +229,7 @@ def check_monotonicity(kind: str, n_range, alpha_grid=DEFAULT_ALPHA_GRID,
     (the caterpillar realization for the s-moves)."""
     if kind not in TRANSFORMS:
         raise ValueError(f"unknown transform {kind!r}")
+    grid = _grid(alpha_grid, a_grid)
     moves = []
     for n in n_range:
         for t in free_trees(n):
@@ -283,34 +238,31 @@ def check_monotonicity(kind: str, n_range, alpha_grid=DEFAULT_ALPHA_GRID,
             except ValueError:
                 continue
     rows = []
-    for index_kind, grid in (("r0", alpha_grid), ("sei", a_grid)):
-        for x in grid:
-            keyword = {"alpha": x} if index_kind == "r0" else {"a": x}
-            sign = claimed_sign(kind, **keyword)
-            if sign is None:
-                continue
-            evaluate = r0_general if index_kind == "r0" else sei
-            conforming = 0
-            offenders = []
-            for move in moves:
-                delta = evaluate(move.before, x) - evaluate(move.after, x)
-                if (delta > ABS_TOL and sign > 0) or (delta < -ABS_TOL and sign < 0):
-                    conforming += 1
-                else:
-                    offenders.append(canonical_code(move.before).hex())
-            rows.append(
-                MonotonicityRow(
-                    kind=kind,
-                    index_kind=index_kind,
-                    index_param=float(x),
-                    regime=_regime_label(**keyword),
-                    claimed_sign=sign,
-                    applicable=len(moves),
-                    conforming=conforming,
-                    counterexamples=tuple(offenders[:10]),
-                    counterexample_total=len(offenders),
-                )
+    for index in grid:
+        sign = claimed_sign(kind, **index.keyword)
+        if sign is None:
+            continue
+        conforming = 0
+        offenders = []
+        for move in moves:
+            delta = index.of_tree(move.before) - index.of_tree(move.after)
+            if (delta > ABS_TOL and sign > 0) or (delta < -ABS_TOL and sign < 0):
+                conforming += 1
+            else:
+                offenders.append(canonical_code(move.before).hex())
+        rows.append(
+            MonotonicityRow(
+                kind=kind,
+                index_kind=index.kind,
+                index_param=index.x,
+                regime=index.regime,
+                claimed_sign=sign,
+                applicable=len(moves),
+                conforming=conforming,
+                counterexamples=tuple(offenders[:10]),
+                counterexample_total=len(offenders),
             )
+        )
     return rows
 
 

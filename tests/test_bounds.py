@@ -1,27 +1,22 @@
 import pytest
-from conftest import is_caterpillar
+from conftest import is_caterpillar, path_tree
 
 from treedex import (
     THEOREM_NAMES,
+    DegreeSequence,
     FamilyConstraint,
     balanced_counts,
     balanced_counts_formula,
-    bt_bound_one_big_vertex,
-    bt_bound_small_degrees,
     claimed_direction,
     construct_extremal,
-    pt_balanced_bound,
-    pt_spider_bound,
     r0_general,
     sei,
     sei_of_degseq,
-    st_parity_bound,
-    st_star_side_bound,
-    star_global_bound,
     structural_profile,
     theorem_bound,
     values_close,
 )
+from treedex import bounds
 
 ALPHAS = (-1.0, -0.5, 0.5, 2.0, 3.0)
 AS = (0.2, 0.5, 0.6, 0.9, 1.5, 2.0)
@@ -101,52 +96,52 @@ class TestBalancedCounts:
 
 class TestBoundValues:
     def test_pt_spider(self):
-        assert values_close(pt_spider_bound(8, 3, a=0.5).value, 3.875)
-        assert values_close(pt_spider_bound(8, 3, alpha=2).value, 28)
-        bv = pt_spider_bound(10, 8, alpha=2)  # n1 = n - 2 boundary
+        assert values_close(theorem_bound("pt-spider", 8, 3, a=0.5).value, 3.875)
+        assert values_close(theorem_bound("pt-spider", 8, 3, alpha=2).value, 28)
+        bv = theorem_bound("pt-spider", 10, 8, alpha=2)  # n1 = n - 2 boundary
         assert tuple(bv.equality_degseq.degrees) == (8, 2) + (1,) * 8
 
     def test_pt_balanced(self):
-        assert values_close(pt_balanced_bound(10, 7, alpha=2).value, 48)
-        assert values_close(pt_balanced_bound(8, 5, a=0.5).value, 3.625)
-        assert values_close(pt_balanced_bound(9, 4, alpha=2).value, 34)
+        assert values_close(theorem_bound("pt-balanced", 10, 7, alpha=2).value, 48)
+        assert values_close(theorem_bound("pt-balanced", 8, 5, a=0.5).value, 3.625)
+        assert values_close(theorem_bound("pt-balanced", 9, 4, alpha=2).value, 34)
 
     def test_pt_balanced_internal_gap(self):
         for n in range(6, 15):
             for n1 in range(3, n - 1):
-                degs = pt_balanced_bound(n, n1, alpha=2).equality_degseq.degrees
+                degs = theorem_bound("pt-balanced", n, n1, alpha=2).equality_degseq.degrees
                 internal = [d for d in degs if d >= 2]
                 assert max(internal) - min(internal) <= 1
 
     def test_bt_small(self):
-        assert values_close(bt_bound_small_degrees(8, 1, a=2).value, 62)
-        assert values_close(bt_bound_small_degrees(8, 1, alpha=2).value, 28)
+        assert values_close(theorem_bound("bt-small", 8, 1, a=2).value, 62)
+        assert values_close(theorem_bound("bt-small", 8, 1, alpha=2).value, 28)
         # boundary b = n/2 - 1 for even n: no degree-2 vertices left
-        bv = bt_bound_small_degrees(10, 4, alpha=2)
+        bv = theorem_bound("bt-small", 10, 4, alpha=2)
         assert tuple(bv.equality_degseq.degrees) == (3,) * 4 + (1,) * 6
 
     def test_bt_big(self):
-        assert values_close(bt_bound_one_big_vertex(8, 2, alpha=2).value, 40)
-        assert values_close(bt_bound_one_big_vertex(10, 3, a=2).value, 222)
+        assert values_close(theorem_bound("bt-big", 8, 2, alpha=2).value, 40)
+        assert values_close(theorem_bound("bt-big", 10, 3, a=2).value, 222)
 
     def test_bt_big_b1_is_star(self):
         for n in (6, 9, 12):
             for alpha in ALPHAS:
                 assert values_close(
-                    bt_bound_one_big_vertex(n, 1, alpha=alpha).value,
-                    star_global_bound(n, alpha=alpha).value,
+                    theorem_bound("bt-big", n, 1, alpha=alpha).value,
+                    theorem_bound("star", n, alpha=alpha).value,
                 )
             for a in AS:
                 assert values_close(
-                    bt_bound_one_big_vertex(n, 1, a=a).value,
-                    star_global_bound(n, a=a).value,
+                    theorem_bound("bt-big", n, 1, a=a).value,
+                    theorem_bound("star", n, a=a).value,
                 )
 
     def test_st_star(self):
-        assert values_close(st_star_side_bound(8, 3, alpha=2).value, 28)
-        assert values_close(st_star_side_bound(12, 5, a=2).value, 218)
+        assert values_close(theorem_bound("st-star", 8, 3, alpha=2).value, 28)
+        assert values_close(theorem_bound("st-star", 12, 5, a=2).value, 218)
         with pytest.raises(ValueError):
-            st_star_side_bound(9, 8, alpha=2)
+            theorem_bound("st-star", 9, 8, alpha=2)
 
     def test_st_star_squeeze_decomposition(self):
         # bound(n, k) = star bound on k+1 vertices + contribution of the
@@ -154,38 +149,38 @@ class TestBoundValues:
         for n in range(6, 13):
             for k in range(3, n - 1):
                 for alpha in ALPHAS:
-                    lhs = st_star_side_bound(n, k, alpha=alpha).value
-                    rhs = star_global_bound(k + 1, alpha=alpha).value + 2.0**alpha * (n - k - 1)
+                    lhs = theorem_bound("st-star", n, k, alpha=alpha).value
+                    rhs = theorem_bound("star", k + 1, alpha=alpha).value + 2.0**alpha * (n - k - 1)
                     assert values_close(lhs, rhs)
                 for a in AS:
-                    lhs = st_star_side_bound(n, k, a=a).value
-                    rhs = star_global_bound(k + 1, a=a).value + 2.0 * a * a * (n - k - 1)
+                    lhs = theorem_bound("st-star", n, k, a=a).value
+                    rhs = theorem_bound("star", k + 1, a=a).value + 2.0 * a * a * (n - k - 1)
                     assert values_close(lhs, rhs)
 
     def test_st_parity(self):
-        assert values_close(st_parity_bound(9, 4, alpha=2).value, 36)
-        assert values_close(st_parity_bound(8, 3, alpha=2).value, 28)
+        assert values_close(theorem_bound("st-parity", 9, 4, alpha=2).value, 36)
+        assert values_close(theorem_bound("st-parity", 8, 3, alpha=2).value, 28)
         # a=0.6 even-k cell evaluated by direct summation
         direct = sei_of_degseq((4, 3, 2, 2, 2, 1, 1, 1, 1, 1), 0.6)
-        assert values_close(st_parity_bound(10, 6, a=0.6).value, direct)
+        assert values_close(theorem_bound("st-parity", 10, 6, a=0.6).value, direct)
 
     def test_st_parity_even_min_k(self):
         # even k = 4 uses zero degree-3 entries
-        bv = st_parity_bound(6, 4, alpha=2)
+        bv = theorem_bound("st-parity", 6, 4, alpha=2)
         assert tuple(bv.equality_degseq.degrees) == (4, 2, 1, 1, 1, 1)
 
     def test_star_global(self):
-        assert values_close(star_global_bound(6, a=2).value, 170)
-        assert values_close(star_global_bound(6, alpha=2).value, 30)
-        assert values_close(star_global_bound(4, alpha=-1).value, 1 / 3 + 3)
+        assert values_close(theorem_bound("star", 6, a=2).value, 170)
+        assert values_close(theorem_bound("star", 6, alpha=2).value, 30)
+        assert values_close(theorem_bound("star", 4, alpha=-1).value, 1 / 3 + 3)
         with pytest.raises(ValueError):
-            star_global_bound(3, alpha=2)
+            theorem_bound("star", 3, alpha=2)
 
     def test_param_exclusivity(self):
         with pytest.raises(ValueError):
-            pt_spider_bound(8, 3)
+            theorem_bound("pt-spider", 8, 3)
         with pytest.raises(ValueError):
-            pt_spider_bound(8, 3, alpha=2, a=2)
+            theorem_bound("pt-spider", 8, 3, alpha=2, a=2)
 
 
 class TestDirections:
@@ -252,6 +247,20 @@ class TestConstructExtremal:
                     for a in AS:
                         bv = theorem_bound(theorem, n, param, a=a)
                         assert values_close(sei(t, a), bv.value)
+
+    def test_wrong_realization_is_an_error(self, monkeypatch):
+        # explicit errors, not asserts (python -O strips asserts)
+        realize = bounds.realize_caterpillar
+        monkeypatch.setattr(bounds, "realize_caterpillar", lambda d: path_tree(len(d)))
+        with pytest.raises(ValueError, match="not in the family"):
+            construct_extremal("pt-spider", 8, 3)
+        with pytest.raises(ValueError, match="not in the family"):
+            construct_extremal("star", 8)
+        # same family BT(8, 2), but not the equality sequence (5, 3, 1^6)
+        other = DegreeSequence((3, 3, 2, 2, 1, 1, 1, 1))
+        monkeypatch.setattr(bounds, "realize_caterpillar", lambda d: realize(other))
+        with pytest.raises(ValueError, match="closed form"):
+            construct_extremal("bt-big", 8, 2)
 
     def test_dispatch_errors(self):
         with pytest.raises(ValueError):

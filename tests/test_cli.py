@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -61,6 +62,13 @@ class TestIndexCommand:
         code, _, _ = run(capsys, "index", "--input", p6, "--alpha", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ("--alpha", "--a"))
+    @pytest.mark.parametrize("bad", ("nan", "inf", "-inf"))
+    def test_non_finite_param_validation_error(self, capsys, p6, flag, bad):
+        code, out, err = run(capsys, "index", "--input", p6, f"{flag}={bad}")
+        assert code == 2 and out == ""
+        assert f"{flag[2:]} must be finite" in err
+
 
 class TestBoundCommand:
     def test_bt_small_example(self, capsys):
@@ -88,6 +96,14 @@ class TestBoundCommand:
         code, _, _ = run(capsys, "bound", "--theorem", "pt-spider", "--n", "6",
                          "--n1", "2", "--alpha", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ("--alpha", "--a"))
+    @pytest.mark.parametrize("bad", ("nan", "inf", "-inf"))
+    def test_non_finite_param_validation_error(self, capsys, flag, bad):
+        code, out, err = run(capsys, "bound", "--theorem", "pt-spider", "--n", "8",
+                             "--n1", "3", f"{flag}={bad}")
+        assert code == 2 and out == ""
+        assert f"{flag[2:]} must be finite" in err
 
     def test_unclaimed_regime(self, capsys):
         code, out, _ = run(capsys, "bound", "--theorem", "pt-spider", "--n", "8",
@@ -244,6 +260,31 @@ class TestVerifyCommand:
     def test_unknown_theorem(self, capsys):
         code, _, _ = run(capsys, "verify", "--theorems", "pt-spider,zz", "--n", "6..7")
         assert code == 1
+
+    @pytest.mark.parametrize("grid", ("--alpha-grid", "--a-grid"))
+    @pytest.mark.parametrize("bad", ("nan", "inf", "-inf"))
+    def test_non_finite_grid_validation_error(self, capsys, grid, bad):
+        # a NaN cell would print as REFUTED: a refutation that never happened
+        code, out, err = run(capsys, "verify", "--theorems", "all", "--n", "6..6",
+                             f"{grid}=2,{bad}")
+        assert code == 2 and out == ""
+        name = "alpha" if grid == "--alpha-grid" else "a"
+        assert f"{name} must be finite" in err
+
+    def test_golden_bytes(self, capsys, tmp_path):
+        # sha256 of stdout, --report and --csv for the n 6..14 suite: any
+        # refactor must reproduce these bytes exactly
+        report, csv_file = tmp_path / "R", tmp_path / "C"
+        code, out, _ = run(capsys, "verify", "--theorems", "all", "--n", "6..14",
+                           "--report", str(report), "--csv", str(csv_file))
+        assert code == 0
+        digests = [hashlib.sha256(data).hexdigest()
+                   for data in (out.encode(), report.read_bytes(), csv_file.read_bytes())]
+        assert digests == [
+            "30f2351214bae4a654c8a9a58ae53cc6c4505f0fddf065cd0ca56a3bab02441d",
+            "65033741a216208ee70530be3c72d4f96153a151648057f058c8ca720298c780",
+            "10a9b59461cb64c42b09a52353a944622f0ef4f719dcbb8dbc18412ea9f11793",
+        ]
 
 
 class TestUsage:

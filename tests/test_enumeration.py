@@ -2,11 +2,9 @@ import pytest
 from conftest import all_free_trees, path_tree, star_tree
 
 from treedex import (
-    EnumerationTask,
     FamilyConstraint,
     Tree,
     canonical_code,
-    family_census,
     family_members,
     free_tree_count_by_prufer,
     free_trees,
@@ -123,6 +121,16 @@ class TestFamilyMembers:
         )
 
 
+def family_census(n):
+    """Counts of free trees per (n1, k, b) cell."""
+    census = {}
+    for t in free_trees(n):
+        profile = structural_profile(t)
+        key = (profile.n1, profile.k, profile.b)
+        census[key] = census.get(key, 0) + 1
+    return census
+
+
 class TestFamilyCensus:
     def test_totals(self):
         for n in (6, 7, 8):
@@ -148,19 +156,3 @@ class TestFamilyCensus:
         assert by_k[1] == 1  # the path is the only one-segment tree
         # k = n-1 means no degree-2 vertex at all: star, (5,3), (4,4), (3,3,3)
         assert by_k[7] == 4
-
-
-class TestEnumerationTask:
-    def test_limit(self):
-        task = EnumerationTask(7, limit=4)
-        assert sum(1 for _ in task.run()) == 4
-
-    def test_with_constraint(self):
-        task = EnumerationTask(7, FamilyConstraint("st", 7, 3))
-        got = [t.edges for t in task.run()]
-        expected = [t.edges for t in family_members(FamilyConstraint("st", 7, 3))]
-        assert got == expected
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            EnumerationTask(8, FamilyConstraint("st", 7, 3))

@@ -6,10 +6,8 @@ from conftest import path_tree, spider, star_tree, trees_up_to
 
 from treedex import (
     WINDOW_LOW_A,
-    IndexParams,
-    Regime,
+    Index,
     Tree,
-    classify_regime,
     r0_general,
     r0_of_degseq,
     sei,
@@ -105,28 +103,49 @@ class TestDegreeSequenceForms:
 
 class TestRegimes:
     def test_examples(self):
-        assert classify_regime(IndexParams(2, 2)) == Regime("convex", "above_one")
-        assert classify_regime(IndexParams(0.5, 0.6)) == Regime("concave", "window")
-        assert classify_regime(IndexParams(-1, 0.3)) == Regime("convex", "low")
+        assert Index.of(alpha=2).regime == "convex"
+        assert Index.of(alpha=-1).regime == "convex"
+        assert Index.of(alpha=0.5).regime == "concave"
+        assert Index.of(a=2).regime == "above_one"
+        assert Index.of(a=0.6).regime == "window"
+        assert Index.of(a=0.3).regime == "low"
+        assert Index.of(alpha=3) == Index("r0", 3.0, "convex")
+        assert Index.of(a=1.5) == Index("sei", 1.5, "above_one")
 
     def test_window_boundary_constant(self):
         assert values_close(WINDOW_LOW_A, (1 + math.sqrt(33)) / 16)
         assert 0.42 < WINDOW_LOW_A < 0.43
         # the boundary itself belongs to the low regime (open window)
-        assert classify_regime(IndexParams(a=WINDOW_LOW_A)).sei_regime == "low"
-        assert classify_regime(IndexParams(a=WINDOW_LOW_A + 1e-9)).sei_regime == "window"
-
-    def test_partial_params(self):
-        assert classify_regime(IndexParams(alpha=3)) == Regime("convex", None)
-        assert classify_regime(IndexParams(a=1.5)) == Regime(None, "above_one")
+        assert Index.of(a=WINDOW_LOW_A).regime == "low"
+        assert Index.of(a=WINDOW_LOW_A + 1e-9).regime == "window"
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            IndexParams()
+            Index.of()
         with pytest.raises(ValueError):
-            IndexParams(alpha=1)
+            Index.of(alpha=2, a=2)
         with pytest.raises(ValueError):
-            IndexParams(a=-2)
+            Index.of(alpha=1)
+        with pytest.raises(ValueError):
+            Index.of(a=-2)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite(self, bad):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            Index.of(alpha=bad)
+        with pytest.raises(ValueError, match="a must be finite"):
+            Index.of(a=bad)
+        with pytest.raises(ValueError):
+            sei_of_degseq((2, 1, 1), bad)
+
+
+class TestIndexTerms:
+    @pytest.mark.parametrize("kw", [{"alpha": x} for x in ALPHAS] + [{"a": x} for x in AS])
+    def test_sum_of_terms(self, kw):
+        index = Index.of(**kw)
+        assert index.keyword == kw
+        for t in trees_up_to(7):
+            assert values_close(index.of_degseq(t.degrees), sum(index.term(d) for d in t.degrees))
 
 
 class TestShiftSignIdentity:

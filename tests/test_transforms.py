@@ -12,7 +12,6 @@ from treedex import (
     apply_p2,
     apply_s1a,
     apply_s1aa,
-    apply_transform,
     claimed_sign,
     predicted_delta,
     r0_general,
@@ -257,15 +256,22 @@ class TestMoveContracts:
         for t in trees_up_to(8):
             for kind in TRANSFORMS:
                 try:
-                    first = apply_transform(kind, t)
+                    first = TRANSFORMS[kind](t)
                 except ValueError:
                     continue
-                second = apply_transform(kind, t)
+                second = TRANSFORMS[kind](t)
                 assert first == second
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            apply_transform("zz", path_tree(4))
+    def test_degree_changes_match_trees(self):
+        # each move's own degree bookkeeping agrees with the trees it produced
+        for t in trees_up_to(9):
+            for kind, fn in TRANSFORMS.items():
+                try:
+                    m = fn(t)
+                except ValueError:
+                    continue
+                changed = [(d0, d1) for d0, d1 in zip(m.before.degrees, m.after.degrees) if d0 != d1]
+                assert sorted(changed) == sorted(m.degree_changes), (kind, t.edges)
 
 
 class TestClaimedSigns:
