@@ -51,7 +51,6 @@ from .transforms import (
 )
 from .trees import (
     DegreeSequence,
-    StructuralProfile,
     Tree,
     canonical_code,
     parse_tree,

@@ -18,13 +18,14 @@ exists). theorem_bound evaluates an entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .indices import Index, values_close
-from .trees import DegreeSequence, Tree, realize_caterpillar, structural_profile
+from .trees import DegreeSequence, Tree, realize_caterpillar
 
-# Family kind -> its parameter (the StructuralProfile field and CLI flag)
+# Family kind -> its parameter (the DegreeSequence field and CLI flag)
 # and what that parameter counts.
 FAMILY_PARAM = {"pt": ("n1", "pendant"), "st": ("k", "segment"), "bt": ("b", "branching")}
 
@@ -35,8 +36,7 @@ def family_params(kind: str, n: int) -> range:
 
 
 def family_param(kind: str, stats) -> int:
-    """The family parameter read off a StructuralProfile (or any object
-    with n1, k and b fields)."""
+    """The family parameter read off a DegreeSequence."""
     return getattr(stats, FAMILY_PARAM[kind][0])
 
 
@@ -228,6 +228,8 @@ def theorem_bound(theorem: str, n: int, param: int | None = None, *,
     seq = DegreeSequence(th.degseq(n, param))
     closed_form = th.r0 if index.kind == "r0" else th.sei
     value = index.of_degseq(seq) if closed_form is None else closed_form(n, param, index.x)
+    if not math.isfinite(value):
+        raise OverflowError("closed form is not finite")
     return BoundValue(value, index.claim(th.directions), seq)
 
 
@@ -239,12 +241,12 @@ def construct_extremal(theorem: str, n: int, param: int | None = None) -> Tree:
     """
     bound = theorem_bound(theorem, n, param, alpha=2.0)
     tree = realize_caterpillar(bound.equality_degseq)
-    profile = structural_profile(tree)
+    degseq = tree.degree_sequence()
     family = THEOREM_FAMILY[theorem]
     if family is None:
-        member = profile.max_degree == n - 1
+        member = degseq.max_degree == n - 1
     else:
-        member = family_param(family, profile) == param
+        member = family_param(family, degseq) == param
     if not member:
         raise ValueError(f"{theorem} realization for n={n}, param={param} is not in the family")
     if not values_close(Index.of(alpha=2.0).of_tree(tree), bound.value):

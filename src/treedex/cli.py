@@ -2,7 +2,8 @@
 
 Subcommands: index, bound, construct, enumerate, transform, squeeze,
 verify. Exit codes: 0 success, 1 usage error, 2 validation error (bad
-tree or bad constraint); verify exits 0 even when cells are REFUTED.
+tree, bad constraint, or an index parameter whose value overflows a
+float on the given input); verify exits 0 even when cells are REFUTED.
 Output is human-readable by default, --json switches to the machine
 schema. Timing goes to stderr so identical invocations produce
 byte-identical output.
@@ -320,6 +321,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"treedex: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # whether alpha/a overflows depends on the tree
+        print(f"treedex: index value overflows a float: {exc}", file=sys.stderr)
         return 2
 
 

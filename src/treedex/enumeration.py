@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import product
 
 from .bounds import FamilyConstraint, family_param
-from .trees import Tree, canonical_code, structural_profile
+from .trees import Tree, canonical_code
 
 DEFAULT_MAX_N = 18
 
@@ -99,7 +99,7 @@ def family_members(c: FamilyConstraint, max_n: int = DEFAULT_MAX_N):
     For ST this is exactly the set of trees with n2 = n - k - 1.
     """
     for t in free_trees(c.n, max_n):
-        if family_param(c.kind, structural_profile(t)) == c.param:
+        if family_param(c.kind, t.degree_sequence()) == c.param:
             yield t
 
 

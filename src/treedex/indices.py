@@ -80,10 +80,15 @@ class Index:
         return d**self.x if self.kind == "r0" else d * self.x**d
 
     def of_degseq(self, d) -> float:
+        """Sum of the terms; OverflowError when it exceeds the float range."""
         x = self.x
         if self.kind == "r0":
-            return math.fsum(v**x for v in d)
-        return math.fsum(v * x**v for v in d)
+            total = math.fsum(v**x for v in d)
+        else:
+            total = math.fsum(v * x**v for v in d)
+        if total == math.inf:  # a term overflowed without raising
+            raise OverflowError("sum of terms is infinite")
+        return total
 
     def of_tree(self, t: Tree) -> float:
         if t.n < 2:

@@ -1,4 +1,4 @@
-"""Tree structures, structural statistics, and canonical forms.
+"""Tree structures, degree sequences, and canonical forms.
 
 Vertices are dense 0-based integers. A Tree is immutable after
 construction and every operation returns new values, so everything in
@@ -7,7 +7,7 @@ this module can be used from concurrent workers without locking.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,7 +27,31 @@ class Tree:
     def __post_init__(self) -> None:
         norm = tuple(sorted((u, v) if u <= v else (v, u) for u, v in self.edges))
         object.__setattr__(self, "edges", norm)
-        _validate(self.n, norm)
+        n = self.n
+        if n < 1:
+            raise ValueError("vertex count must be at least 1")
+        prev = None
+        for u, v in norm:
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"vertex id out of range in edge ({u}, {v})")
+            if (u, v) == prev:
+                raise ValueError(f"duplicate edge ({u}, {v})")
+            prev = (u, v)
+        if len(norm) > n - 1:
+            raise ValueError(f"cyclic: {len(norm)} edges on {n} vertices")
+        if len(norm) < n - 1:
+            raise ValueError(f"disconnected: only {len(norm)} edges on {n} vertices")
+        reached = {0}
+        queue = deque([0])
+        while queue:
+            for y in self.adjacency[queue.popleft()]:
+                if y not in reached:
+                    reached.add(y)
+                    queue.append(y)
+        if len(reached) != n:
+            raise ValueError("disconnected: not all vertices reachable")
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -35,7 +59,8 @@ class Tree:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        # Sorted edges put each vertex's neighbours in ascending order already.
+        return tuple(map(tuple, adj))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -73,46 +98,17 @@ class Tree:
         return "\n".join(f"{u} {v}" for u, v in self.edges)
 
 
-def _validate(n: int, edges: tuple[tuple[int, int], ...]) -> None:
-    if n < 1:
-        raise ValueError("vertex count must be at least 1")
-    seen = set()
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"vertex id out of range in edge ({u}, {v})")
-        if (u, v) in seen:
-            raise ValueError(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-    if len(edges) > n - 1:
-        raise ValueError(f"cyclic: {len(edges)} edges on {n} vertices")
-    if len(edges) < n - 1:
-        raise ValueError(f"disconnected: only {len(edges)} edges on {n} vertices")
-    if n == 1:
-        return
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    reached = {0}
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in reached:
-                reached.add(y)
-                queue.append(y)
-    if len(reached) != n:
-        raise ValueError("disconnected: not all vertices reachable")
-
-
 @dataclass(frozen=True)
 class DegreeSequence:
     """Non-increasing positive degrees with sum 2(n-1).
 
     Together with positivity the sum condition is exactly
     tree-realizability. The single-vertex tree is the degenerate (0,).
+
+    It also carries the family statistics: n1 counts pendant vertices
+    (degree 1), n2 degree-2 vertices and b branching vertices (degree
+    >= 3); k = n - n2 - 1 is the segment count, cross-checked by
+    segment_decomposition.
     """
 
     degrees: tuple[int, ...]
@@ -140,48 +136,33 @@ class DegreeSequence:
     def __iter__(self):
         return iter(self.degrees)
 
+    @property
+    def n1(self) -> int:
+        return self.degrees.count(1)
 
-@dataclass(frozen=True)
-class StructuralProfile:
-    """Degree census of a tree.
+    @property
+    def n2(self) -> int:
+        return self.degrees.count(2)
 
-    n1 counts pendant vertices (degree 1), n2 degree-2 vertices, b
-    branching vertices (degree >= 3); k = n - n2 - 1 is the segment
-    count, cross-checked by segment_decomposition.
-    """
+    @property
+    def b(self) -> int:
+        return sum(1 for d in self.degrees if d >= 3)
 
-    n: int
-    degree_counts: tuple[tuple[int, int], ...]
-    n1: int
-    n2: int
-    b: int
-    k: int
-    max_degree: int
+    @property
+    def k(self) -> int:
+        return len(self.degrees) - self.n2 - 1
 
-    def count(self, degree: int) -> int:
-        for d, c in self.degree_counts:
-            if d == degree:
-                return c
-        return 0
+    @property
+    def max_degree(self) -> int:
+        return self.degrees[0]
 
 
-def structural_profile(t: Tree) -> StructuralProfile:
-    """Pendant/branching/segment statistics; requires n >= 2."""
+def structural_profile(t: Tree) -> DegreeSequence:
+    """The tree's degree sequence, which carries n1, n2, b, k and
+    max_degree; requires n >= 2."""
     if t.n < 2:
         raise ValueError("structural profile requires n >= 2")
-    counts = Counter(t.degrees)
-    n1 = counts.get(1, 0)
-    n2 = counts.get(2, 0)
-    b = sum(c for d, c in counts.items() if d >= 3)
-    return StructuralProfile(
-        n=t.n,
-        degree_counts=tuple(sorted(counts.items())),
-        n1=n1,
-        n2=n2,
-        b=b,
-        k=t.n - n2 - 1,
-        max_degree=max(counts),
-    )
+    return t.degree_sequence()
 
 
 def segment_decomposition(t: Tree) -> tuple[tuple[int, ...], ...]:

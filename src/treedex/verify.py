@@ -31,7 +31,7 @@ from .bounds import (
 )
 from .enumeration import free_trees
 from .indices import ABS_TOL, REL_TOL, WINDOW_LOW_A, Index, values_close
-from .trees import canonical_code, structural_profile
+from .trees import DegreeSequence, canonical_code
 from .transforms import TRANSFORMS, claimed_sign
 
 CONFIRMED = "CONFIRMED"
@@ -42,56 +42,33 @@ DEFAULT_ALPHA_GRID = (-1.0, -0.5, 0.5, 2.0, 3.0)
 DEFAULT_A_GRID = (0.2, 0.3, WINDOW_LOW_A + 0.01, 0.6, 0.9, 1.5, 2.0)
 
 
-@dataclass(frozen=True)
-class _TreeRecord:
-    degseq: tuple[int, ...]
-    n1: int
-    k: int
-    b: int
-    code: str
-    edge_text: str
-
-
 @lru_cache(maxsize=None)
-def _census(n: int) -> tuple[_TreeRecord, ...]:
-    records = []
+def _census(n: int) -> dict[DegreeSequence, tuple[tuple[str, str], ...]]:
+    """Degree sequence -> (code hex, edge text) of each tree in its class.
+
+    Sequences ascend by degrees and each class is in code order, so every
+    selection taken in key order is already in report order.
+    """
+    classes: dict[DegreeSequence, list[tuple[str, str]]] = {}
     for t in free_trees(n):
-        profile = structural_profile(t)
-        records.append(
-            _TreeRecord(
-                degseq=tuple(t.degree_sequence().degrees),
-                n1=profile.n1,
-                k=profile.k,
-                b=profile.b,
-                code=canonical_code(t).hex(),
-                edge_text=t.edge_text(),
-            )
-        )
-    return tuple(records)
+        classes.setdefault(t.degree_sequence(), []).append((canonical_code(t).hex(), t.edge_text()))
+    return {ds: tuple(sorted(classes[ds])) for ds in sorted(classes, key=lambda ds: ds.degrees)}
 
 
 @lru_cache(maxsize=None)
-def _family_groups(kind: str | None, n: int):
-    """param -> degseq -> records; kind None groups all trees under None."""
-    groups: dict = {}
-    for rec in _census(n):
-        param = None if kind is None else family_param(kind, rec)
-        groups.setdefault(param, {}).setdefault(rec.degseq, []).append(rec)
-    return {
-        param: {ds: tuple(rs) for ds, rs in by_seq.items()}
-        for param, by_seq in groups.items()
-    }
+def _family(kind: str | None, n: int, param: int | None) -> tuple[DegreeSequence, ...]:
+    """The family's census keys; kind None is every tree."""
+    return tuple(ds for ds in _census(n) if kind is None or family_param(kind, ds) == param)
 
 
 def _scan(kind: str | None, n: int, param: int | None, direction: str, index: Index):
-    by_seq = _family_groups(kind, n).get(param)
-    if not by_seq:
+    family = _family(kind, n, param)
+    if not family:
         raise ValueError(f"empty family {kind}({n}, {param})")
-    values = {ds: index.of_degseq(ds) for ds in by_seq}
-    best = min(values.values()) if direction == "min" else max(values.values())
-    winners = tuple(sorted(ds for ds, val in values.items() if values_close(val, best)))
-    witnesses = tuple(rec for ds in winners for rec in by_seq[ds])
-    return best, winners, witnesses
+    values = [index.of_degseq(ds.degrees) for ds in family]
+    best = min(values) if direction == "min" else max(values)
+    winners = tuple(ds for ds, val in zip(family, values) if values_close(val, best))
+    return best, winners
 
 
 def oracle_extremum(c: FamilyConstraint, direction: str, *,
@@ -100,8 +77,8 @@ def oracle_extremum(c: FamilyConstraint, direction: str, *,
     set of optimizing degree sequences."""
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
-    best, winners, _ = _scan(c.kind, c.n, c.param, direction, Index.of(alpha=alpha, a=a))
-    return best, winners
+    best, winners = _scan(c.kind, c.n, c.param, direction, Index.of(alpha=alpha, a=a))
+    return best, tuple(ds.degrees for ds in winners)
 
 
 @dataclass(frozen=True)
@@ -144,11 +121,11 @@ def _check_cell(theorem: str, n: int, param: int | None, index: Index) -> Theore
     if bound.direction is None:
         return None
     kind = THEOREM_FAMILY[theorem]
-    best, winners, witnesses = _scan(kind, n, param, bound.direction, index)
-    expected = tuple(bound.equality_degseq.degrees)
+    best, winners = _scan(kind, n, param, bound.direction, index)
     bound_matches = values_close(bound.value, best)
-    equality_set_matches = winners == (expected,)
-    ordered = sorted(witnesses, key=lambda rec: (rec.degseq, rec.code))
+    equality_set_matches = winners == (bound.equality_degseq,)
+    census = _census(n)
+    witnesses = [pair for ds in winners for pair in census[ds]]
     return TheoremReport(
         theorem=theorem,
         n=n,
@@ -161,10 +138,10 @@ def _check_cell(theorem: str, n: int, param: int | None, index: Index) -> Theore
         bound_matches=bound_matches,
         equality_set_matches=equality_set_matches,
         verdict=CONFIRMED if bound_matches and equality_set_matches else REFUTED,
-        expected_degseq=expected,
-        optimal_degseqs=winners,
-        witness_codes=tuple(rec.code for rec in ordered),
-        witness_edge_texts=tuple(rec.edge_text for rec in ordered),
+        expected_degseq=bound.equality_degseq.degrees,
+        optimal_degseqs=tuple(ds.degrees for ds in winners),
+        witness_codes=tuple(code for code, _ in witnesses),
+        witness_edge_texts=tuple(text for _, text in witnesses),
     )
 
 
@@ -242,14 +219,11 @@ def check_monotonicity(kind: str, n_range, alpha_grid=DEFAULT_ALPHA_GRID,
         sign = claimed_sign(kind, **index.keyword)
         if sign is None:
             continue
-        conforming = 0
         offenders = []
         for move in moves:
             delta = index.of_tree(move.before) - index.of_tree(move.after)
-            if (delta > ABS_TOL and sign > 0) or (delta < -ABS_TOL and sign < 0):
-                conforming += 1
-            else:
-                offenders.append(canonical_code(move.before).hex())
+            if not ((delta > ABS_TOL and sign > 0) or (delta < -ABS_TOL and sign < 0)):
+                offenders.append(move.before)
         rows.append(
             MonotonicityRow(
                 kind=kind,
@@ -258,8 +232,8 @@ def check_monotonicity(kind: str, n_range, alpha_grid=DEFAULT_ALPHA_GRID,
                 regime=index.regime,
                 claimed_sign=sign,
                 applicable=len(moves),
-                conforming=conforming,
-                counterexamples=tuple(offenders[:10]),
+                conforming=len(moves) - len(offenders),
+                counterexamples=tuple(canonical_code(t).hex() for t in offenders[:10]),
                 counterexample_total=len(offenders),
             )
         )

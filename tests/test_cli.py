@@ -21,6 +21,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# A finite parameter can still overflow the index on a given input.
+OVERFLOWING = "1e200"
+
+
+def rejection(name, bad):
+    if bad == OVERFLOWING:
+        return "index value overflows a float"
+    return f"{name} must be finite"
+
+
 class TestIndexCommand:
     def test_path6_zagreb(self, capsys, p6):
         code, out, _ = run(capsys, "index", "--input", p6, "--alpha", "2")
@@ -63,11 +73,11 @@ class TestIndexCommand:
         assert code == 2
 
     @pytest.mark.parametrize("flag", ("--alpha", "--a"))
-    @pytest.mark.parametrize("bad", ("nan", "inf", "-inf"))
+    @pytest.mark.parametrize("bad", ("nan", "inf", "-inf", OVERFLOWING))
     def test_non_finite_param_validation_error(self, capsys, p6, flag, bad):
         code, out, err = run(capsys, "index", "--input", p6, f"{flag}={bad}")
         assert code == 2 and out == ""
-        assert f"{flag[2:]} must be finite" in err
+        assert rejection(flag[2:], bad) in err
 
 
 class TestBoundCommand:
@@ -98,12 +108,12 @@ class TestBoundCommand:
         assert code == 2
 
     @pytest.mark.parametrize("flag", ("--alpha", "--a"))
-    @pytest.mark.parametrize("bad", ("nan", "inf", "-inf"))
+    @pytest.mark.parametrize("bad", ("nan", "inf", "-inf", OVERFLOWING))
     def test_non_finite_param_validation_error(self, capsys, flag, bad):
         code, out, err = run(capsys, "bound", "--theorem", "pt-spider", "--n", "8",
                              "--n1", "3", f"{flag}={bad}")
         assert code == 2 and out == ""
-        assert f"{flag[2:]} must be finite" in err
+        assert rejection(flag[2:], bad) in err
 
     def test_unclaimed_regime(self, capsys):
         code, out, _ = run(capsys, "bound", "--theorem", "pt-spider", "--n", "8",
@@ -201,6 +211,14 @@ class TestTransformCommand:
         assert doc["predicted_delta"] == doc["actual_delta"] == 6.0
         assert parse_tree(doc["after"]).n == 8
 
+    def test_overflowing_param_validation_error(self, capsys, tmp_path):
+        broom = tmp_path / "broom.edges"
+        broom.write_text("0 1\n0 2\n0 3\n0 4\n1 5\n1 6\n1 7\n")
+        code, out, err = run(capsys, "transform", "--lemma", "p1", "--input", str(broom),
+                             "--a", "1e80")
+        assert code == 2 and out == ""
+        assert "index value overflows a float" in err
+
     def test_inapplicable_is_validation_error(self, capsys, p6):
         code, _, err = run(capsys, "transform", "--lemma", "p1", "--input", p6)
         assert code == 2
@@ -262,14 +280,21 @@ class TestVerifyCommand:
         assert code == 1
 
     @pytest.mark.parametrize("grid", ("--alpha-grid", "--a-grid"))
-    @pytest.mark.parametrize("bad", ("nan", "inf", "-inf"))
+    @pytest.mark.parametrize("bad", ("nan", "inf", "-inf", OVERFLOWING))
     def test_non_finite_grid_validation_error(self, capsys, grid, bad):
         # a NaN cell would print as REFUTED: a refutation that never happened
         code, out, err = run(capsys, "verify", "--theorems", "all", "--n", "6..6",
                              f"{grid}=2,{bad}")
         assert code == 2 and out == ""
-        name = "alpha" if grid == "--alpha-grid" else "a"
-        assert f"{name} must be finite" in err
+        assert rejection("alpha" if grid == "--alpha-grid" else "a", bad) in err
+
+    def test_infinite_sum_validation_error(self, capsys):
+        # 5 * a**5 is infinite although a**5 is not; an infinite value is
+        # "close" to every value, so cells would print as REFUTED
+        code, out, err = run(capsys, "verify", "--theorems", "all", "--n", "6..6",
+                             "--a-grid", "3.98e61")
+        assert code == 2 and out == ""
+        assert "index value overflows a float" in err
 
     def test_golden_bytes(self, capsys, tmp_path):
         # sha256 of stdout, --report and --csv for the n 6..14 suite: any

@@ -86,6 +86,14 @@ class TestTreeType:
         t = spider(3, 2)
         assert t.path_between(3, 5) == (3, 2, 1, 0, 4, 5)
 
+    def test_adjacency_ascends(self):
+        rng = random.Random(7)
+        for t in trees_up_to(8):
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            relabelled = Tree(t.n, tuple((perm[u], perm[v]) for u, v in reversed(t.edges)))
+            assert all(list(a) == sorted(a) for a in relabelled.adjacency)
+
 
 class TestStructuralProfile:
     def test_path6(self):
@@ -108,8 +116,17 @@ class TestStructuralProfile:
     def test_counts_sum_to_n(self):
         for t in trees_up_to(9):
             p = structural_profile(t)
-            assert sum(c for _, c in p.degree_counts) == t.n
+            assert p.n1 + p.n2 + p.b == t.n == len(p)
             assert p.n1 >= 2
+
+    def test_is_the_degree_sequence(self):
+        for t in trees_up_to(10):
+            p = structural_profile(t)
+            assert p == t.degree_sequence()
+            assert p.n1 == sum(1 for d in t.degrees if d == 1)
+            assert p.n2 == sum(1 for d in t.degrees if d == 2)
+            assert p.b == sum(1 for d in t.degrees if d >= 3)
+            assert p.max_degree == max(t.degrees)
 
     def test_branching_cap(self):
         # b <= n/2 - 1 for every tree
