@@ -76,14 +76,14 @@ def _tree_from_levels(levels: list[int]) -> Tree:
     return Tree(len(levels), tuple(edges))
 
 
-def free_trees(n: int, max_n: int = DEFAULT_MAX_N):
+def free_trees(n: int):
     """Yield exactly one tree per isomorphism class of n-vertex trees.
 
     Deterministic order; pairwise distinct canonical codes. The cap
-    guards against accidentally huge enumerations.
+    DEFAULT_MAX_N guards against accidentally huge enumerations.
     """
-    if not 2 <= n <= max_n:
-        raise ValueError(f"n must be in 2..{max_n}")
+    if not 2 <= n <= DEFAULT_MAX_N:
+        raise ValueError(f"n must be in 2..{DEFAULT_MAX_N}")
     layout: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while layout is not None:
         layout = _next_free_canonical(layout)
@@ -93,12 +93,12 @@ def free_trees(n: int, max_n: int = DEFAULT_MAX_N):
         layout = _next_rooted(layout)
 
 
-def family_members(c: FamilyConstraint, max_n: int = DEFAULT_MAX_N):
+def family_members(c: FamilyConstraint):
     """Members of PT/ST/BT(n, param) in free_trees order.
 
     For ST this is exactly the set of trees with n2 = n - k - 1.
     """
-    for t in free_trees(c.n, max_n):
+    for t in free_trees(c.n):
         if family_param(c.kind, t.degree_sequence()) == c.param:
             yield t
 

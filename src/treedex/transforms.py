@@ -58,14 +58,10 @@ class MoveRecord:
     degree_changes: tuple[tuple[int, int], ...]
 
 
-def _canon_order(t: Tree) -> list[int]:
+def _ranked(t: Tree, vertices) -> list[int]:
+    """The vertices by (degree descending, id ascending)."""
     deg = t.degrees
-    return sorted(range(t.n), key=lambda v: (-deg[v], v))
-
-
-def _pick(t: Tree, candidates) -> int:
-    deg = t.degrees
-    return min(candidates, key=lambda v: (-deg[v], v))
+    return sorted(vertices, key=lambda v: (-deg[v], v))
 
 
 def _norm(u: int, v: int) -> tuple[int, int]:
@@ -83,12 +79,12 @@ def apply_p1(t: Tree) -> MoveRecord:
     """Move a neighbor of branching v (off the u-v path) onto branching u,
     where d_u >= d_v. Requires at least two branching vertices."""
     deg = t.degrees
-    branching = [v for v in _canon_order(t) if deg[v] >= 3]
+    branching = [v for v in _ranked(t, range(t.n)) if deg[v] >= 3]
     if len(branching) < 2:
         raise ValueError("needs at least two branching vertices")
     u, v = branching[0], branching[1]
-    path = t.path_between(u, v)
-    w = _pick(t, (x for x in t.adjacency[v] if x != path[-2]))
+    toward = t.bfs(u)[1][v]
+    w = _ranked(t, (x for x in t.adjacency[v] if x != toward))[0]
     return _record("p1", t, [(v, w)], [(u, w)], (u, v, w),
                    [(deg[u], deg[u] + 1), (deg[v], deg[v] - 1)])
 
@@ -97,7 +93,7 @@ def apply_p2(t: Tree) -> MoveRecord:
     """Move a neighbor of u (off the u-v path) onto v, for internal u, v
     with d_u >= d_v + 2."""
     deg = t.degrees
-    internal = [v for v in _canon_order(t) if deg[v] >= 2]
+    internal = [v for v in _ranked(t, range(t.n)) if deg[v] >= 2]
     for u in internal:
         partners = [v for v in internal if v != u and deg[u] >= deg[v] + 2]
         if partners:
@@ -105,8 +101,8 @@ def apply_p2(t: Tree) -> MoveRecord:
             break
     else:
         raise ValueError("no internal pair with degree gap >= 2")
-    path = t.path_between(u, v)
-    w = _pick(t, (x for x in t.adjacency[u] if x != path[1]))
+    toward = t.bfs(v)[1][u]
+    w = _ranked(t, (x for x in t.adjacency[u] if x != toward))[0]
     return _record("p2", t, [(u, w)], [(v, w)], (u, v, w),
                    [(deg[u], deg[u] - 1), (deg[v], deg[v] + 1)])
 
@@ -114,29 +110,19 @@ def apply_p2(t: Tree) -> MoveRecord:
 def _branch_depth(t: Tree, u: int, root: int) -> tuple[int, int]:
     # Deepest vertex in the branch of u rooted at neighbor `root`;
     # ties resolved to the smallest id.
-    best_d, best_v = 1, root
-    seen = {u, root}
-    frontier = [root]
-    depth = 1
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in t.adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        if nxt:
-            depth += 1
-            best_d, best_v = depth, min(nxt)
-        frontier = nxt
-    return best_d, best_v
+    order, parent = t.bfs(root, avoid=u)
+    depth = [1] * t.n
+    for x in order[1:]:
+        depth[x] = depth[parent[x]] + 1
+    deepest = depth[order[-1]]
+    return deepest, min(x for x in order if depth[x] == deepest)
 
 
 def apply_b1(t: Tree) -> MoveRecord:
     """Detach one off-path neighbor of a degree->=4 vertex and append it
     to the endpoint of a longest path through that vertex."""
     deg = t.degrees
-    u = _canon_order(t)[0]
+    u = _ranked(t, range(t.n))[0]
     if deg[u] < 4:
         raise ValueError("maximum degree is at most 3")
     branches = [(_branch_depth(t, u, r), r) for r in t.adjacency[u]]
@@ -150,7 +136,7 @@ def apply_b1(t: Tree) -> MoveRecord:
                 best = (key, (ei, ri), (ej, rj))
     (e1, r1), (e2, r2) = best[1], best[2]
     endpoint = max(e1, e2)
-    w = _pick(t, (x for x in t.adjacency[u] if x not in (r1, r2)))
+    w = _ranked(t, (x for x in t.adjacency[u] if x not in (r1, r2)))[0]
     # the endpoint is the deepest vertex of its branch, hence a pendant
     return _record("b1", t, [(u, w)], [(w, endpoint)], (u, w, endpoint),
                    [(deg[u], deg[u] - 1), (1, 2)])
@@ -160,12 +146,12 @@ def apply_b3(t: Tree) -> MoveRecord:
     """Reduce the smaller of two degree->=4 vertices to exactly three
     neighbors, handing the others to the larger one."""
     deg = t.degrees
-    big = [v for v in _canon_order(t) if deg[v] >= 4]
+    big = [v for v in _ranked(t, range(t.n)) if deg[v] >= 4]
     if len(big) < 2:
         raise ValueError("needs two vertices of degree at least 4")
     u, v = big[0], big[1]
-    toward = t.path_between(v, u)[1]
-    others = sorted((x for x in t.adjacency[v] if x != toward), key=lambda x: (-deg[x], x))
+    toward = t.bfs(u)[1][v]
+    others = _ranked(t, (x for x in t.adjacency[v] if x != toward))
     moved = sorted(others[2:])
     return _record("b3", t, [(v, x) for x in moved], [(u, x) for x in moved], (u, v),
                    [(deg[v], 3), (deg[u], deg[u] + deg[v] - 3)])
@@ -175,7 +161,7 @@ def apply_b4(t: Tree) -> MoveRecord:
     """Turn a degree-2 vertex adjacent to a branching vertex into a
     pendant by moving its other neighbor onto the branching vertex."""
     deg = t.degrees
-    for u in _canon_order(t):
+    for u in _ranked(t, range(t.n)):
         if deg[u] < 3:
             break
         twos = [x for x in t.adjacency[u] if deg[x] == 2]
@@ -200,7 +186,7 @@ def apply_s1a(t: Tree) -> MoveRecord:
         raise ValueError("maximum degree is at most 4")
     cat = realize_caterpillar(seq)
     deg = cat.degrees
-    m = sum(1 for d in deg if d >= 2)
+    m = len(seq) - seq.n1
     vi = 0  # spine position of the maximum degree
     if m == 1:
         pend = _pendants(cat, vi)
@@ -228,7 +214,7 @@ def apply_s1aa(t: Tree) -> MoveRecord:
         raise ValueError("needs two vertices of degree 4")
     cat = realize_caterpillar(seq)
     deg = cat.degrees
-    m = sum(1 for d in deg if d >= 2)
+    m = len(seq) - seq.n1
     vi, vj = [v for v in range(m) if deg[v] == 4][:2]
     v0 = _pendants(cat, 0)[0]
     endpoint = _pendants(cat, m - 1)[0]

@@ -7,7 +7,6 @@ this module can be used from concurrent workers without locking.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,7 +17,9 @@ class Tree:
 
     Edges are normalized to sorted (u, v) pairs in sorted order.
     Construction validates the tree invariants: exactly n-1 edges, no
-    self-loops, no duplicates, connected.
+    self-loops, no duplicates, connected. `bfs` is the one traversal:
+    the connectivity check, canonical codes and the moves' neighbour
+    and branch-depth queries all walk the tree through it.
     """
 
     n: int
@@ -43,14 +44,7 @@ class Tree:
             raise ValueError(f"cyclic: {len(norm)} edges on {n} vertices")
         if len(norm) < n - 1:
             raise ValueError(f"disconnected: only {len(norm)} edges on {n} vertices")
-        reached = {0}
-        queue = deque([0])
-        while queue:
-            for y in self.adjacency[queue.popleft()]:
-                if y not in reached:
-                    reached.add(y)
-                    queue.append(y)
-        if len(reached) != n:
+        if len(self.bfs(0)[0]) != n:
             raise ValueError("disconnected: not all vertices reachable")
 
     @cached_property
@@ -69,21 +63,22 @@ class Tree:
     def degree_sequence(self) -> DegreeSequence:
         return DegreeSequence(self.degrees)
 
-    def path_between(self, u: int, v: int) -> tuple[int, ...]:
-        """Vertices of the unique u-v path, endpoints included."""
-        parent = {u: u}
-        queue = deque([u])
-        while queue and v not in parent:
-            x = queue.popleft()
-            for y in self.adjacency[x]:
-                if y not in parent:
+    def bfs(self, root: int, avoid: int = -1) -> tuple[list[int], list[int]]:
+        """Breadth-first walk from root that never enters `avoid`.
+
+        Returns the reached vertices in visiting order and a parent list
+        indexed by vertex: -1 at the root, -2 where the walk did not reach.
+        """
+        adjacency = self.adjacency
+        parent = [-2] * self.n
+        parent[root] = -1
+        order = [root]
+        for x in order:
+            for y in adjacency[x]:
+                if parent[y] == -2 and y != avoid:
                     parent[y] = x
-                    queue.append(y)
-        path = [v]
-        while path[-1] != u:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return tuple(path)
+                    order.append(y)
+        return order, parent
 
     def replace_edges(self, removed, added) -> "Tree":
         """New tree on the same vertex set with `removed` swapped for `added`."""
@@ -223,24 +218,11 @@ def _centers(t: Tree) -> tuple[int, ...]:
 
 
 def _rooted_code(t: Tree, root: int) -> bytes:
-    parent = [-2] * t.n
-    parent[root] = -1
-    order = [root]
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in t.adjacency[x]:
-            if parent[y] == -2:
-                parent[y] = x
-                order.append(y)
-                stack.append(y)
+    order, parent = t.bfs(root)
     child_codes: list[list[bytes]] = [[] for _ in range(t.n)]
-    for x in reversed(order):
-        code = b"(" + b"".join(sorted(child_codes[x])) + b")"
-        if x == root:
-            return code
-        child_codes[parent[x]].append(code)
-    raise AssertionError("unreachable")
+    for x in reversed(order[1:]):
+        child_codes[parent[x]].append(b"(" + b"".join(sorted(child_codes[x])) + b")")
+    return b"(" + b"".join(sorted(child_codes[root])) + b")"
 
 
 def canonical_code(t: Tree) -> bytes:
@@ -265,7 +247,7 @@ def realize_caterpillar(d: DegreeSequence) -> Tree:
         return Tree(1, ())
     if n == 2:
         return Tree(2, ((0, 1),))
-    m = sum(1 for x in degs if x >= 2)
+    m = n - d.n1
     edges = [(i, i + 1) for i in range(m - 1)]
     nxt = m
     for i in range(m):

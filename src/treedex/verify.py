@@ -43,16 +43,17 @@ DEFAULT_A_GRID = (0.2, 0.3, WINDOW_LOW_A + 0.01, 0.6, 0.9, 1.5, 2.0)
 
 
 @lru_cache(maxsize=None)
-def _census(n: int) -> dict[DegreeSequence, tuple[tuple[str, str], ...]]:
-    """Degree sequence -> (code hex, edge text) of each tree in its class.
+def _census(n: int) -> dict[DegreeSequence, tuple[str, ...]]:
+    """Degree sequence -> edge text of each tree in its class.
 
-    Sequences ascend by degrees and each class is in code order, so every
-    selection taken in key order is already in report order.
+    Sequences ascend by degrees and each class is in canonical code order,
+    so every selection taken in key order is already in report order.
     """
-    classes: dict[DegreeSequence, list[tuple[str, str]]] = {}
+    classes: dict[DegreeSequence, list[tuple[bytes, str]]] = {}
     for t in free_trees(n):
-        classes.setdefault(t.degree_sequence(), []).append((canonical_code(t).hex(), t.edge_text()))
-    return {ds: tuple(sorted(classes[ds])) for ds in sorted(classes, key=lambda ds: ds.degrees)}
+        classes.setdefault(t.degree_sequence(), []).append((canonical_code(t), t.edge_text()))
+    return {ds: tuple(text for _, text in sorted(classes[ds]))
+            for ds in sorted(classes, key=lambda ds: ds.degrees)}
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +99,6 @@ class TheoremReport:
     verdict: str
     expected_degseq: tuple[int, ...]
     optimal_degseqs: tuple[tuple[int, ...], ...]
-    witness_codes: tuple[str, ...]
     witness_edge_texts: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
@@ -125,7 +125,6 @@ def _check_cell(theorem: str, n: int, param: int | None, index: Index) -> Theore
     bound_matches = values_close(bound.value, best)
     equality_set_matches = winners == (bound.equality_degseq,)
     census = _census(n)
-    witnesses = [pair for ds in winners for pair in census[ds]]
     return TheoremReport(
         theorem=theorem,
         n=n,
@@ -140,8 +139,7 @@ def _check_cell(theorem: str, n: int, param: int | None, index: Index) -> Theore
         verdict=CONFIRMED if bound_matches and equality_set_matches else REFUTED,
         expected_degseq=bound.equality_degseq.degrees,
         optimal_degseqs=tuple(ds.degrees for ds in winners),
-        witness_codes=tuple(code for code, _ in witnesses),
-        witness_edge_texts=tuple(text for _, text in witnesses),
+        witness_edge_texts=tuple(text for ds in winners for text in census[ds]),
     )
 
 

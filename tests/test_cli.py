@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import path_tree, spider, star_tree
 
+import treedex
 from treedex import parse_tree, values_close
 from treedex.cli import main
 
@@ -298,18 +303,32 @@ class TestVerifyCommand:
 
     def test_golden_bytes(self, capsys, tmp_path):
         # sha256 of stdout, --report and --csv for the n 6..14 suite: any
-        # refactor must reproduce these bytes exactly
-        report, csv_file = tmp_path / "R", tmp_path / "C"
-        code, out, _ = run(capsys, "verify", "--theorems", "all", "--n", "6..14",
-                           "--report", str(report), "--csv", str(csv_file))
-        assert code == 0
-        digests = [hashlib.sha256(data).hexdigest()
-                   for data in (out.encode(), report.read_bytes(), csv_file.read_bytes())]
-        assert digests == [
+        # refactor must reproduce these bytes exactly, also under python -O,
+        # which strips asserts, so no check may rely on one
+        golden = [
             "30f2351214bae4a654c8a9a58ae53cc6c4505f0fddf065cd0ca56a3bab02441d",
             "65033741a216208ee70530be3c72d4f96153a151648057f058c8ca720298c780",
             "10a9b59461cb64c42b09a52353a944622f0ef4f719dcbb8dbc18412ea9f11793",
         ]
+        argv = ["verify", "--theorems", "all", "--n", "6..14"]
+        report, csv_file = tmp_path / "R", tmp_path / "C"
+        code, out, _ = run(capsys, *argv, "--report", str(report), "--csv", str(csv_file))
+        assert code == 0
+        digests = [hashlib.sha256(data).hexdigest()
+                   for data in (out.encode(), report.read_bytes(), csv_file.read_bytes())]
+        assert digests == golden
+
+        report, csv_file = tmp_path / "R-O", tmp_path / "C-O"
+        env = dict(os.environ, PYTHONPATH=str(Path(treedex.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "treedex", *argv,
+             "--report", str(report), "--csv", str(csv_file)],
+            capture_output=True, env=env, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests = [hashlib.sha256(data).hexdigest()
+                   for data in (proc.stdout, report.read_bytes(), csv_file.read_bytes())]
+        assert digests == golden
 
 
 class TestUsage:

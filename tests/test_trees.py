@@ -82,9 +82,19 @@ class TestTreeType:
         with pytest.raises(ValueError, match="not present"):
             t.replace_edges([(0, 3)], [(1, 3)])
 
-    def test_path_between(self):
+    def test_bfs(self):
         t = spider(3, 2)
-        assert t.path_between(3, 5) == (3, 2, 1, 0, 4, 5)
+        assert t.bfs(3) == ([3, 2, 1, 0, 4, 5], [1, 2, 3, -1, 0, 4])
+        # avoid stops the walk; unreached vertices read -2
+        assert t.bfs(1, avoid=0) == ([1, 2, 3], [-2, -1, 1, 2, -2, -2])
+        for t in trees_up_to(9):
+            for root in range(t.n):
+                order, parent = t.bfs(root)
+                assert sorted(order) == list(range(t.n)) and parent[root] == -1
+                seen = {root}
+                for x in order[1:]:
+                    assert parent[x] in seen and parent[x] in t.adjacency[x]
+                    seen.add(x)
 
     def test_adjacency_ascends(self):
         rng = random.Random(7)
