@@ -5,7 +5,9 @@ function: starting from the center-rooted path it repeatedly takes the
 next rooted level sequence and skips (by a computed jump, not by
 filtering) any sequence that is not the canonical rooting of its free
 tree. One representative per isomorphism class is produced in a fixed
-order, path first, star last, with no dedup set.
+order, path first, star last, with no dedup set. The same walk yields
+the bare level sequences to the verify census, which reads degrees off
+them without building trees.
 
 A Prüfer-decode generator over all n^(n-2) labeled trees is included as
 the independent cross-check oracle for small n.
@@ -16,7 +18,7 @@ from __future__ import annotations
 from itertools import product
 
 from .bounds import FamilyConstraint, family_param
-from .trees import Tree, canonical_code
+from .trees import DegreeSequence, Tree, canonical_code
 
 DEFAULT_MAX_N = 18
 
@@ -66,14 +68,55 @@ def _next_free_canonical(candidate: list[int]) -> list[int] | None:
     return successor
 
 
-def _tree_from_levels(levels: list[int]) -> Tree:
-    latest: dict[int, int] = {}
-    edges = []
-    for i, lev in enumerate(levels):
-        if i:
-            edges.append((latest[lev - 1], i))
+def _level_parents(levels) -> list[int]:
+    """Parent of each vertex of a level sequence (-1 at the root).
+
+    Vertex i sits at depth levels[i]; its parent is the latest earlier
+    vertex one level up. Anything that is not a rooted tree's preorder
+    level sequence is a ValueError.
+    """
+    n = len(levels)
+    if n == 0 or levels[0] != 0:
+        raise ValueError(f"malformed level sequence {list(levels)}: must start at level 0")
+    parents = [-1] * n
+    latest = [0] * n  # latest[d]: the last vertex seen at depth d
+    prev = 0
+    for i in range(1, n):
+        lev = levels[i]
+        if not 0 < lev <= prev + 1:
+            raise ValueError(f"malformed level sequence {list(levels)}: level {lev} at {i}")
+        parents[i] = latest[lev - 1]
         latest[lev] = i
-    return Tree(len(levels), tuple(edges))
+        prev = lev
+    return parents
+
+
+def _level_degrees(levels) -> tuple[int, ...]:
+    """Degrees of a level sequence's tree, non-increasing."""
+    parents = _level_parents(levels)
+    degrees = [1] * len(parents)
+    degrees[0] = 0
+    for p in parents[1:]:
+        degrees[p] += 1
+    return tuple(sorted(degrees, reverse=True))
+
+
+def _tree_from_levels(levels) -> Tree:
+    parents = _level_parents(levels)
+    return Tree(len(parents), tuple((p, i) for i, p in enumerate(parents) if i))
+
+
+def _level_sequences(n: int):
+    """Canonical level sequence of each n-vertex free tree, in free_trees order."""
+    if not 2 <= n <= DEFAULT_MAX_N:
+        raise ValueError(f"n must be in 2..{DEFAULT_MAX_N}")
+    layout: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while layout is not None:
+        layout = _next_free_canonical(layout)
+        if layout is None:
+            return
+        yield layout
+        layout = _next_rooted(layout)
 
 
 def free_trees(n: int):
@@ -82,25 +125,20 @@ def free_trees(n: int):
     Deterministic order; pairwise distinct canonical codes. The cap
     DEFAULT_MAX_N guards against accidentally huge enumerations.
     """
-    if not 2 <= n <= DEFAULT_MAX_N:
-        raise ValueError(f"n must be in 2..{DEFAULT_MAX_N}")
-    layout: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while layout is not None:
-        layout = _next_free_canonical(layout)
-        if layout is None:
-            return
-        yield _tree_from_levels(layout)
-        layout = _next_rooted(layout)
+    for levels in _level_sequences(n):
+        yield _tree_from_levels(levels)
 
 
 def family_members(c: FamilyConstraint):
     """Members of PT/ST/BT(n, param) in free_trees order.
 
-    For ST this is exactly the set of trees with n2 = n - k - 1.
+    For ST this is exactly the set of trees with n2 = n - k - 1. The
+    family parameter is read off the level sequence, so only members
+    are built as trees.
     """
-    for t in free_trees(c.n):
-        if family_param(c.kind, t.degree_sequence()) == c.param:
-            yield t
+    for levels in _level_sequences(c.n):
+        if family_param(c.kind, DegreeSequence(_level_degrees(levels))) == c.param:
+            yield _tree_from_levels(levels)
 
 
 def _prufer_edges(seq: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:

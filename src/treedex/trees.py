@@ -17,9 +17,10 @@ class Tree:
 
     Edges are normalized to sorted (u, v) pairs in sorted order.
     Construction validates the tree invariants: exactly n-1 edges, no
-    self-loops, no duplicates, connected. `bfs` is the one traversal:
-    the connectivity check, canonical codes and the moves' neighbour
-    and branch-depth queries all walk the tree through it.
+    self-loops, no duplicates, connected. `bfs` is the one rooted
+    traversal: the connectivity check and the moves' neighbour and
+    branch-depth queries walk the tree through it (canonical codes
+    come from the leaf peel that finds the center).
     """
 
     n: int
@@ -197,42 +198,43 @@ def squeeze(t: Tree) -> Tree:
     return Tree(len(kept), edges)
 
 
-def _centers(t: Tree) -> tuple[int, ...]:
-    if t.n <= 2:
-        return tuple(range(t.n))
-    deg = list(t.degrees)
-    leaves = [v for v in range(t.n) if deg[v] == 1]
-    count = t.n
-    while count > 2:
-        count -= len(leaves)
-        nxt = []
-        for v in leaves:
-            deg[v] = 0
-            for w in t.adjacency[v]:
-                if deg[w] > 1:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        leaves = nxt
-    return tuple(sorted(leaves))
-
-
-def _rooted_code(t: Tree, root: int) -> bytes:
-    order, parent = t.bfs(root)
-    child_codes: list[list[bytes]] = [[] for _ in range(t.n)]
-    for x in reversed(order[1:]):
-        child_codes[parent[x]].append(b"(" + b"".join(sorted(child_codes[x])) + b")")
-    return b"(" + b"".join(sorted(child_codes[root])) + b")"
-
-
 def canonical_code(t: Tree) -> bytes:
     """Relabeling-invariant byte code: equal codes iff isomorphic.
 
     Nested-parenthesis encoding rooted at the tree center; bicentral
     trees take the lexicographically smaller of the two center codes.
     Serialize with .hex() for text output.
+
+    One leaf peel finds the center and codes the tree on the way: a
+    vertex is coded when it is peeled, and its code goes to the one
+    neighbour still unpeeled, its parent toward the center. A bicentral
+    tree's two center codes are each center's own half plus the other's.
     """
-    return min(_rooted_code(t, c) for c in _centers(t))
+    n = t.n
+    adjacency = t.adjacency
+    deg = list(t.degrees)
+    child_codes: list[list[bytes]] = [[] for _ in range(n)]
+    leaves = [v for v in range(n) if deg[v] == 1] if n > 2 else list(range(n))
+    left = n
+    while left > 2:
+        left -= len(leaves)
+        nxt = []
+        for v in leaves:
+            deg[v] = 0
+            code = b"(" + b"".join(sorted(child_codes[v])) + b")"
+            for w in adjacency[v]:
+                if deg[w]:
+                    child_codes[w].append(code)
+                    if deg[w] > 1:
+                        deg[w] -= 1
+                        if deg[w] == 1:
+                            nxt.append(w)
+        leaves = nxt
+    if len(leaves) == 1:
+        return b"(" + b"".join(sorted(child_codes[leaves[0]])) + b")"
+    halves = [b"(" + b"".join(sorted(child_codes[c])) + b")" for c in leaves]
+    return min(b"(" + b"".join(sorted(child_codes[c] + [half])) + b")"
+               for c, half in zip(leaves, reversed(halves)))
 
 
 def realize_caterpillar(d: DegreeSequence) -> Tree:

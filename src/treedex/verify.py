@@ -7,6 +7,12 @@ optimizing degree sequences must equal the characterized equality
 sequence. Cells that fail are reported as REFUTED with witnesses;
 refutations are data, not errors.
 
+Both indices and the family parameters depend only on the degree
+sequence, so the census keeps each enumerated tree as its canonical
+level sequence, grouped by the degrees read off the levels. A verdict
+needs only those classes; trees are built, coded and written out only
+for the classes that win some cell, once per class.
+
 All outputs are deterministic: identical inputs produce byte-identical
 JSON and CSV documents (no timestamps or wall-clock data inside).
 """
@@ -29,7 +35,7 @@ from .bounds import (
     family_params,
     theorem_bound,
 )
-from .enumeration import free_trees
+from .enumeration import _level_degrees, _level_sequences, _tree_from_levels, free_trees
 from .indices import ABS_TOL, REL_TOL, WINDOW_LOW_A, Index, values_close
 from .trees import DegreeSequence, canonical_code
 from .transforms import TRANSFORMS, claimed_sign
@@ -43,17 +49,23 @@ DEFAULT_A_GRID = (0.2, 0.3, WINDOW_LOW_A + 0.01, 0.6, 0.9, 1.5, 2.0)
 
 
 @lru_cache(maxsize=None)
-def _census(n: int) -> dict[DegreeSequence, tuple[str, ...]]:
-    """Degree sequence -> edge text of each tree in its class.
+def _census(n: int) -> dict[DegreeSequence, tuple[bytes, ...]]:
+    """Degree sequence -> level sequence of each tree in its class.
 
-    Sequences ascend by degrees and each class is in canonical code order,
-    so every selection taken in key order is already in report order.
+    Sequences ascend by degrees and each class keeps free_trees order.
+    No tree is built here; `_witnesses` builds a class when it wins.
     """
-    classes: dict[DegreeSequence, list[tuple[bytes, str]]] = {}
-    for t in free_trees(n):
-        classes.setdefault(t.degree_sequence(), []).append((canonical_code(t), t.edge_text()))
-    return {ds: tuple(text for _, text in sorted(classes[ds]))
-            for ds in sorted(classes, key=lambda ds: ds.degrees)}
+    classes: dict[tuple[int, ...], list[bytes]] = {}
+    for levels in _level_sequences(n):
+        classes.setdefault(_level_degrees(levels), []).append(bytes(levels))
+    return {DegreeSequence(degrees): tuple(classes[degrees]) for degrees in sorted(classes)}
+
+
+@lru_cache(maxsize=None)
+def _witnesses(ds: DegreeSequence) -> tuple[str, ...]:
+    """Edge texts of a census class, in canonical code order."""
+    trees = sorted(map(_tree_from_levels, _census(len(ds))[ds]), key=canonical_code)
+    return tuple(t.edge_text() for t in trees)
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +136,6 @@ def _check_cell(theorem: str, n: int, param: int | None, index: Index) -> Theore
     best, winners = _scan(kind, n, param, bound.direction, index)
     bound_matches = values_close(bound.value, best)
     equality_set_matches = winners == (bound.equality_degseq,)
-    census = _census(n)
     return TheoremReport(
         theorem=theorem,
         n=n,
@@ -139,7 +150,7 @@ def _check_cell(theorem: str, n: int, param: int | None, index: Index) -> Theore
         verdict=CONFIRMED if bound_matches and equality_set_matches else REFUTED,
         expected_degseq=bound.equality_degseq.degrees,
         optimal_degseqs=tuple(ds.degrees for ds in winners),
-        witness_edge_texts=tuple(text for ds in winners for text in census[ds]),
+        witness_edge_texts=tuple(text for ds in winners for text in _witnesses(ds)),
     )
 
 

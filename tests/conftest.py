@@ -1,8 +1,17 @@
-"""Shared tree builders for the test suite."""
+"""Shared trees, random-tree strategy and hypothesis settings of the test suite."""
 
 from functools import lru_cache
 
+from hypothesis import settings
+from hypothesis import strategies as st
+
 from treedex import Tree, free_trees
+from treedex.enumeration import _prufer_edges
+
+# Property tests replay the same examples on every run and never fail on
+# wall time, so a slow machine cannot turn them red.
+settings.register_profile("treedex", derandomize=True, deadline=None, max_examples=60)
+settings.load_profile("treedex")
 
 
 def path_tree(n: int) -> Tree:
@@ -59,3 +68,11 @@ def is_caterpillar(t: Tree) -> bool:
         if sum(1 for w in t.adjacency[v] if w in keep) > 2:
             return False
     return True
+
+
+@st.composite
+def prufer_trees(draw, max_n: int = 200) -> Tree:
+    """Random labelled tree on 2..max_n vertices, decoded from a Prüfer sequence."""
+    n = draw(st.integers(2, max_n))
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    return Tree(n, _prufer_edges(tuple(seq), n))

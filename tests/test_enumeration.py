@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from conftest import all_free_trees, path_tree, star_tree
 
+import treedex
 from treedex import (
     FamilyConstraint,
     Tree,
@@ -11,7 +17,13 @@ from treedex import (
     labeled_trees_prufer,
     structural_profile,
 )
-from treedex.enumeration import _prufer_edges
+from treedex.bounds import family_param, family_params
+from treedex.enumeration import (
+    _level_degrees,
+    _level_parents,
+    _prufer_edges,
+    _tree_from_levels,
+)
 
 # Distinct tree shapes per vertex count, derived from the Prüfer-decode
 # oracle (run live below for small n).
@@ -52,6 +64,37 @@ class TestFreeTrees:
             list(free_trees(19))
         # the cap is inclusive; the path comes first, so this is cheap
         assert next(free_trees(18)).n == 18
+
+
+MALFORMED_LEVELS = ((), (1,), (0, 0), (0, 2), (0, 1, 3), (0, 1, -1))
+
+
+class TestLevelSequences:
+    def test_parents(self):
+        # root, its two children, and a grandchild under the second child
+        assert _level_parents((0, 1, 1, 2)) == [-1, 0, 0, 2]
+        assert _level_parents(bytes((0, 1, 2, 1))) == [-1, 0, 1, 0]
+
+    @pytest.mark.parametrize("levels", MALFORMED_LEVELS)
+    def test_malformed_is_an_error(self, levels):
+        for helper in (_level_parents, _level_degrees, _tree_from_levels):
+            with pytest.raises(ValueError, match="malformed level sequence"):
+                helper(levels)
+
+    def test_malformed_is_an_error_under_optimisation(self):
+        script = (
+            "from treedex.enumeration import _level_parents\n"
+            f"for levels in {MALFORMED_LEVELS!r}:\n"
+            "    try:\n"
+            "        _level_parents(levels)\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'accepted {levels}')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(treedex.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestPruferOracle:
@@ -97,6 +140,15 @@ class TestAddLeafOracle:
 
 
 class TestFamilyMembers:
+    def test_equals_filtered_free_trees(self):
+        for kind in ("pt", "st", "bt"):
+            for n in range(6, 12):
+                for param in family_params(kind, n):
+                    members = [t.edges for t in family_members(FamilyConstraint(kind, n, param))]
+                    expected = [t.edges for t in all_free_trees(n)
+                                if family_param(kind, t.degree_sequence()) == param]
+                    assert members == expected, (kind, n, param)
+
     def test_pt_constraint_bound(self):
         with pytest.raises(ValueError):
             FamilyConstraint("pt", 6, 2)

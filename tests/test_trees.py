@@ -1,7 +1,18 @@
 import random
 
 import pytest
-from conftest import all_free_trees, double_broom, is_caterpillar, path_tree, spider, star_tree, trees_up_to
+from conftest import (
+    all_free_trees,
+    double_broom,
+    is_caterpillar,
+    path_tree,
+    prufer_trees,
+    spider,
+    star_tree,
+    trees_up_to,
+)
+from hypothesis import given
+from hypothesis import strategies as st
 
 from treedex import (
     DegreeSequence,
@@ -195,7 +206,46 @@ class TestSqueeze:
             assert structural_profile(s).k == len(s.edges)
 
 
+def _eccentricity(adj, v: int) -> int:
+    seen, frontier, depth = {v}, [v], 0
+    while frontier:
+        frontier = [w for u in frontier for w in adj[u] if w not in seen]
+        seen.update(frontier)
+        depth += bool(frontier)
+    return depth
+
+
+def _rooted(adj, v: int, parent: int) -> bytes:
+    return b"(" + b"".join(sorted(_rooted(adj, w, v) for w in adj[v] if w != parent)) + b")"
+
+
+def two_centre_code(t: Tree) -> bytes:
+    """Reference code: root the tree at each centre (least eccentricity),
+    code each rooting on its own and keep the smaller."""
+    adj = [[] for _ in range(t.n)]
+    for u, v in t.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    ecc = [_eccentricity(adj, v) for v in range(t.n)]
+    return min(_rooted(adj, c, -1) for c in range(t.n) if ecc[c] == min(ecc))
+
+
 class TestCanonicalCode:
+    def test_matches_two_centre_reference(self):
+        for t in (Tree(1, ()), *trees_up_to(12)):
+            assert canonical_code(t) == two_centre_code(t)
+
+    @given(prufer_trees())
+    def test_matches_two_centre_reference_on_random_trees(self, t):
+        assert canonical_code(t) == two_centre_code(t)
+
+    @given(prufer_trees(), st.randoms(use_true_random=False))
+    def test_relabelling_invariance_on_random_trees(self, t, rng):
+        perm = list(range(t.n))
+        rng.shuffle(perm)
+        relabelled = Tree(t.n, tuple((perm[u], perm[v]) for u, v in t.edges))
+        assert canonical_code(relabelled) == canonical_code(t)
+
     def test_relabelled_path_equal(self):
         a = parse_tree("0 1\n1 2\n2 3")
         b = parse_tree("2 0\n0 3\n3 1")  # same P4 relabelled

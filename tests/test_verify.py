@@ -1,6 +1,8 @@
 import json
+from collections import Counter
 
 import pytest
+from conftest import all_free_trees
 
 from treedex import (
     CONFIRMED,
@@ -8,6 +10,7 @@ from treedex import (
     DEFAULT_ALPHA_GRID,
     REFUTED,
     FamilyConstraint,
+    canonical_code,
     check_monotonicity,
     check_theorem,
     construct_extremal,
@@ -21,8 +24,34 @@ from treedex import (
     sei_of_degseq,
     values_close,
 )
+from treedex.verify import _census, _witnesses
 
 ALPHAS = (-1.0, 0.5, 2.0)
+
+# OEIS A000055: free trees on n vertices
+FREE_TREE_COUNTS = {6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551, 13: 1301, 14: 3159}
+
+
+class TestCensus:
+    def test_class_sizes_sum_to_tree_counts(self):
+        for n, count in FREE_TREE_COUNTS.items():
+            assert sum(map(len, _census(n).values())) == count
+
+    def test_class_counts_match_trees(self):
+        for n in range(2, 13):
+            expected = Counter(t.degree_sequence() for t in all_free_trees(n))
+            census = _census(n)
+            assert list(census) == sorted(expected, key=lambda ds: ds.degrees)
+            assert {ds: len(levels) for ds, levels in census.items()} == expected
+
+    def test_witnesses_match_eager_reference(self):
+        for n in range(2, 13):
+            classes: dict = {}
+            for t in all_free_trees(n):
+                classes.setdefault(t.degree_sequence(), []).append(t)
+            for ds, trees in classes.items():
+                expected = tuple(t.edge_text() for t in sorted(trees, key=canonical_code))
+                assert _witnesses(ds) == expected
 
 
 class TestOracleExtremum:
