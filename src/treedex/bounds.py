@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .indices import Index, values_close
@@ -211,9 +212,9 @@ def claimed_direction(theorem: str, *, alpha: float | None = None, a: float | No
     return index.claim(_theorem(theorem).directions)
 
 
-def theorem_bound(theorem: str, n: int, param: int | None = None, *,
-                  alpha: float | None = None, a: float | None = None) -> BoundValue:
-    """A theorem's bound ("star" takes no family parameter)."""
+@lru_cache(maxsize=None, typed=True)
+def _equality_degseq(theorem: str, n: int, param: int | None) -> DegreeSequence:
+    """The theorem's equality sequence, once n and param are checked."""
     th = _theorem(theorem)
     if th.family is None:
         if param is not None:
@@ -224,12 +225,25 @@ def theorem_bound(theorem: str, n: int, param: int | None = None, *,
         raise ValueError(f"{theorem} requires a family parameter")
     else:
         FamilyConstraint(th.family, n, param)
+    return DegreeSequence(th.degseq(n, param))
+
+
+def theorem_bound(theorem: str, n: int, param: int | None = None, *,
+                  alpha: float | None = None, a: float | None = None) -> BoundValue:
+    """A theorem's bound ("star" takes no family parameter)."""
+    seq = _equality_degseq(theorem, n, param)
+    th = _THEOREMS[theorem]
     index = Index.of(alpha=alpha, a=a)
-    seq = DegreeSequence(th.degseq(n, param))
     closed_form = th.r0 if index.kind == "r0" else th.sei
-    value = index.of_degseq(seq) if closed_form is None else closed_form(n, param, index.x)
-    if not math.isfinite(value):
-        raise OverflowError("closed form is not finite")
+    if closed_form is None:
+        value = index.of_degseq(seq)
+    else:
+        try:
+            value = closed_form(n, param, index.x)
+        except OverflowError:  # float pow raises where a product gives inf
+            value = math.inf
+        if not math.isfinite(value):
+            raise OverflowError(f"the {theorem} closed form at {index}")
     return BoundValue(value, index.claim(th.directions), seq)
 
 

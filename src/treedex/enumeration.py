@@ -6,8 +6,9 @@ next rooted level sequence and skips (by a computed jump, not by
 filtering) any sequence that is not the canonical rooting of its free
 tree. One representative per isomorphism class is produced in a fixed
 order, path first, star last, with no dedup set. The same walk yields
-the bare level sequences to the verify census, which reads degrees off
-them without building trees.
+the bare level sequences to the verify census, which groups them by
+the degrees read off them and builds trees only for the witnesses it
+writes out.
 
 A Prüfer-decode generator over all n^(n-2) labeled trees is included as
 the independent cross-check oracle for small n.
@@ -106,10 +107,15 @@ def _tree_from_levels(levels) -> Tree:
     return Tree(len(parents), tuple((p, i) for i, p in enumerate(parents) if i))
 
 
-def _level_sequences(n: int):
-    """Canonical level sequence of each n-vertex free tree, in free_trees order."""
+def _check_order(n: int) -> None:
+    """The cap on enumerated and verified tree orders."""
     if not 2 <= n <= DEFAULT_MAX_N:
         raise ValueError(f"n must be in 2..{DEFAULT_MAX_N}")
+
+
+def _level_sequences(n: int):
+    """Canonical level sequence of each n-vertex free tree, in free_trees order."""
+    _check_order(n)
     layout: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while layout is not None:
         layout = _next_free_canonical(layout)

@@ -34,8 +34,13 @@ ABS_TOL = 1e-12
 
 
 def values_close(x: float, y: float) -> bool:
-    """Relative 1e-9 comparison with absolute floor 1e-12."""
-    return abs(x - y) <= max(REL_TOL * max(abs(x), abs(y)), ABS_TOL)
+    """Relative 1e-9 comparison with absolute floor 1e-12.
+
+    The same as abs(x - y) <= max(REL_TOL * max(abs(x), abs(y)), ABS_TOL),
+    unrolled because the verdict scan calls it once per family member.
+    """
+    diff = abs(x - y)
+    return diff <= ABS_TOL or diff <= REL_TOL * abs(x) or diff <= REL_TOL * abs(y)
 
 
 @dataclass(frozen=True)
@@ -75,19 +80,34 @@ class Index:
         """This regime's entry of a row laid out in REGIMES order."""
         return row[REGIMES.index(self.regime)]
 
+    def __str__(self) -> str:
+        """The parameter as written on the command line: alpha=2.0 or a=0.5."""
+        return f"{'alpha' if self.kind == 'r0' else 'a'}={self.x!r}"
+
     def term(self, d: int) -> float:
-        """Contribution of one vertex of degree d."""
-        return d**self.x if self.kind == "r0" else d * self.x**d
+        """Contribution of one vertex of degree d; OverflowError naming
+        the parameter and d when it exceeds the float range."""
+        try:
+            value = d**self.x if self.kind == "r0" else d * self.x**d
+        except OverflowError:  # float pow raises; float product gives inf
+            value = math.inf
+        if value == math.inf:
+            raise OverflowError(f"{self} at degree {d}")
+        return value
 
     def of_degseq(self, d) -> float:
         """Sum of the terms; OverflowError when it exceeds the float range."""
         x = self.x
-        if self.kind == "r0":
-            total = math.fsum(v**x for v in d)
-        else:
-            total = math.fsum(v * x**v for v in d)
-        if total == math.inf:  # a term overflowed without raising
-            raise OverflowError("sum of terms is infinite")
+        try:
+            if self.kind == "r0":
+                total = math.fsum(v**x for v in d)
+            else:
+                total = math.fsum(v * x**v for v in d)
+        except OverflowError:
+            total = math.inf
+        if total == math.inf:
+            self.term(max(d))  # wherever a term can overflow, terms grow with d
+            raise OverflowError(f"{self}: the sum of the terms is infinite")
         return total
 
     def of_tree(self, t: Tree) -> float:

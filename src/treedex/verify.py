@@ -8,10 +8,14 @@ sequence. Cells that fail are reported as REFUTED with witnesses;
 refutations are data, not errors.
 
 Both indices and the family parameters depend only on the degree
-sequence, so the census keeps each enumerated tree as its canonical
-level sequence, grouped by the degrees read off the levels. A verdict
-needs only those classes; trees are built, coded and written out only
-for the classes that win some cell, once per class.
+sequence, and every non-increasing positive n-tuple summing to 2(n - 1)
+is the degree sequence of some tree. So a family is a filter over the
+partitions of n - 2, and a verdict is read off one index value per
+degree sequence: each (n, index) keeps a memo that a sequence enters
+the first time a scanned family contains it. No tree is built for a
+verdict. A cell's witnesses, every tree of every optimal sequence, are
+built from the level-sequence census only when the cell is written out
+(--report, --csv, --json), once per class.
 
 All outputs are deterministic: identical inputs produce byte-identical
 JSON and CSV documents (no timestamps or wall-clock data inside).
@@ -23,7 +27,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import compress, repeat
 
 from .bounds import (
     THEOREM_FAMILY,
@@ -35,7 +40,13 @@ from .bounds import (
     family_params,
     theorem_bound,
 )
-from .enumeration import _level_degrees, _level_sequences, _tree_from_levels, free_trees
+from .enumeration import (
+    _check_order,
+    _level_degrees,
+    _level_sequences,
+    _tree_from_levels,
+    free_trees,
+)
 from .indices import ABS_TOL, REL_TOL, WINDOW_LOW_A, Index, values_close
 from .trees import DegreeSequence, canonical_code
 from .transforms import TRANSFORMS, claimed_sign
@@ -48,12 +59,34 @@ DEFAULT_ALPHA_GRID = (-1.0, -0.5, 0.5, 2.0, 3.0)
 DEFAULT_A_GRID = (0.2, 0.3, WINDOW_LOW_A + 0.01, 0.6, 0.9, 1.5, 2.0)
 
 
+def _partitions(m: int, largest: int):
+    """Partitions of m into parts <= largest, non-increasing, ascending
+    lexicographically."""
+    if m == 0:
+        yield ()
+    for part in range(1, min(m, largest) + 1):
+        for rest in _partitions(m - part, part):
+            yield (part, *rest)
+
+
+@lru_cache(maxsize=None)
+def _degree_sequences(n: int) -> tuple[DegreeSequence, ...]:
+    """Every degree sequence of an n-vertex tree, ascending by degrees.
+
+    One per partition of n - 2: add 1 to each part and pad with 1s.
+    """
+    _check_order(n)
+    return tuple(DegreeSequence(tuple(p + 1 for p in parts) + (1,) * (n - len(parts)))
+                 for parts in _partitions(n - 2, n - 2))
+
+
 @lru_cache(maxsize=None)
 def _census(n: int) -> dict[DegreeSequence, tuple[bytes, ...]]:
     """Degree sequence -> level sequence of each tree in its class.
 
     Sequences ascend by degrees and each class keeps free_trees order.
-    No tree is built here; `_witnesses` builds a class when it wins.
+    No tree is built here; `_witnesses` builds a class when it is
+    written out. Verdicts never read the census.
     """
     classes: dict[tuple[int, ...], list[bytes]] = {}
     for levels in _level_sequences(n):
@@ -70,17 +103,30 @@ def _witnesses(ds: DegreeSequence) -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def _family(kind: str | None, n: int, param: int | None) -> tuple[DegreeSequence, ...]:
-    """The family's census keys; kind None is every tree."""
-    return tuple(ds for ds in _census(n) if kind is None or family_param(kind, ds) == param)
+    """The family's degree sequences, ascending; kind None is every tree."""
+    return tuple(ds for ds in _degree_sequences(n)
+                 if kind is None or family_param(kind, ds) == param)
+
+
+@lru_cache(maxsize=None)
+def _values(n: int, index: Index) -> dict[tuple[int, ...], float]:
+    """Index value of each n-vertex degree sequence scanned so far."""
+    return {}
 
 
 def _scan(kind: str | None, n: int, param: int | None, direction: str, index: Index):
     family = _family(kind, n, param)
     if not family:
         raise ValueError(f"empty family {kind}({n}, {param})")
-    values = [index.of_degseq(ds.degrees) for ds in family]
+    memo = _values(n, index)
+    values = []
+    for ds in family:
+        value = memo.get(ds.degrees)
+        if value is None:  # first scan of this sequence at this index
+            value = memo[ds.degrees] = index.of_degseq(ds.degrees)
+        values.append(value)
     best = min(values) if direction == "min" else max(values)
-    winners = tuple(ds for ds, val in zip(family, values) if values_close(val, best))
+    winners = tuple(compress(family, map(values_close, values, repeat(best))))
     return best, winners
 
 
@@ -111,7 +157,11 @@ class TheoremReport:
     verdict: str
     expected_degseq: tuple[int, ...]
     optimal_degseqs: tuple[tuple[int, ...], ...]
-    witness_edge_texts: tuple[str, ...]
+
+    @cached_property
+    def witness_edge_texts(self) -> tuple[str, ...]:
+        """Every tree of every optimal degree sequence, built on first read."""
+        return tuple(text for ds in self.optimal_degseqs for text in _witnesses(DegreeSequence(ds)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -150,7 +200,6 @@ def _check_cell(theorem: str, n: int, param: int | None, index: Index) -> Theore
         verdict=CONFIRMED if bound_matches and equality_set_matches else REFUTED,
         expected_degseq=bound.equality_degseq.degrees,
         optimal_degseqs=tuple(ds.degrees for ds in winners),
-        witness_edge_texts=tuple(text for ds in winners for text in _witnesses(ds)),
     )
 
 

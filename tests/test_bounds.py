@@ -176,6 +176,16 @@ class TestBoundValues:
         with pytest.raises(ValueError):
             theorem_bound("star", 3, alpha=2)
 
+    def test_overflowing_closed_form(self):
+        with pytest.raises(OverflowError, match=r"the pt-spider closed form at alpha=1e\+200"):
+            theorem_bound("pt-spider", 8, 3, alpha=1e200)
+
+    def test_errors_repeat(self):
+        # the checked equality sequence is cached; a rejection never is
+        for _ in range(2):
+            with pytest.raises(ValueError, match="n1=2"):
+                theorem_bound("pt-spider", 8, 2, alpha=2)
+
     def test_param_exclusivity(self):
         with pytest.raises(ValueError):
             theorem_bound("pt-spider", 8, 3)

@@ -83,6 +83,7 @@ class TestIndexCommand:
         code, out, err = run(capsys, "index", "--input", p6, f"{flag}={bad}")
         assert code == 2 and out == ""
         assert rejection(flag[2:], bad) in err
+        assert "(34," not in err
 
 
 class TestBoundCommand:
@@ -119,6 +120,7 @@ class TestBoundCommand:
                              "--n1", "3", f"{flag}={bad}")
         assert code == 2 and out == ""
         assert rejection(flag[2:], bad) in err
+        assert "(34," not in err
 
     def test_unclaimed_regime(self, capsys):
         code, out, _ = run(capsys, "bound", "--theorem", "pt-spider", "--n", "8",
@@ -223,6 +225,7 @@ class TestTransformCommand:
                              "--a", "1e80")
         assert code == 2 and out == ""
         assert "index value overflows a float" in err
+        assert "(34," not in err
 
     def test_inapplicable_is_validation_error(self, capsys, p6):
         code, _, err = run(capsys, "transform", "--lemma", "p1", "--input", p6)
@@ -292,6 +295,7 @@ class TestVerifyCommand:
                              f"{grid}=2,{bad}")
         assert code == 2 and out == ""
         assert rejection("alpha" if grid == "--alpha-grid" else "a", bad) in err
+        assert "(34," not in err
 
     def test_infinite_sum_validation_error(self, capsys):
         # 5 * a**5 is infinite although a**5 is not; an infinite value is
@@ -299,36 +303,76 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--theorems", "all", "--n", "6..6",
                              "--a-grid", "3.98e61")
         assert code == 2 and out == ""
-        assert "index value overflows a float" in err
+        assert "index value overflows a float: a=3.98e+61 at degree 5" in err
+
+    def test_overflow_stays_in_the_scanned_families(self, capsys):
+        # 7**380 overflows, but no PT(8, .) sequence has a degree-7 vertex
+        code, out, _ = run(capsys, "verify", "--theorems", "pt-spider", "--n", "8..8",
+                           "--alpha-grid", "380")
+        assert code == 0
+        assert out.endswith("cells: 24  confirmed: 15  refuted: 9\n")
+        code, out, err = run(capsys, "verify", "--theorems", "star", "--n", "8..8",
+                             "--alpha-grid", "380")
+        assert code == 2 and out == ""
+        assert "index value overflows a float" in err and "(34," not in err
+
+    @pytest.mark.parametrize("files", (False, True))
+    def test_order_cap(self, capsys, tmp_path, files):
+        argv = ["verify", "--theorems", "star", "--n", "19..19"]
+        if files:
+            argv += ["--report", str(tmp_path / "R"), "--csv", str(tmp_path / "C")]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "treedex: n must be in 2..18\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_stdout_builds_no_tree(self, capsys, monkeypatch):
+        def no_tree(*args):
+            raise AssertionError("a tree was built for stdout")
+
+        monkeypatch.setattr(treedex.Tree, "__post_init__", no_tree)
+        monkeypatch.setattr(treedex.verify, "_witnesses", no_tree)  # its cache may hold trees
+        code, out, _ = run(capsys, "verify", "--theorems", "all", "--n", "6..10")
+        assert code == 0 and "REFUTED" in out
 
     def test_golden_bytes(self, capsys, tmp_path):
-        # sha256 of stdout, --report and --csv for the n 6..14 suite: any
-        # refactor must reproduce these bytes exactly, also under python -O,
-        # which strips asserts, so no check may rely on one
-        golden = [
-            "30f2351214bae4a654c8a9a58ae53cc6c4505f0fddf065cd0ca56a3bab02441d",
-            "65033741a216208ee70530be3c72d4f96153a151648057f058c8ca720298c780",
-            "10a9b59461cb64c42b09a52353a944622f0ef4f719dcbb8dbc18412ea9f11793",
+        # sha256 of stdout, --report and --csv: any refactor must reproduce
+        # these bytes exactly, also under python -O, which strips asserts,
+        # so no check may rely on one. The default grids at n 6..14, and a
+        # grid with values off the defaults in every regime (1,938 cells)
+        cases = [
+            (["--n", "6..14"], [
+                "30f2351214bae4a654c8a9a58ae53cc6c4505f0fddf065cd0ca56a3bab02441d",
+                "65033741a216208ee70530be3c72d4f96153a151648057f058c8ca720298c780",
+                "10a9b59461cb64c42b09a52353a944622f0ef4f719dcbb8dbc18412ea9f11793",
+            ]),
+            (["--n", "6..12", "--alpha-grid=-2.5,-0.3,0.25,0.75,1.5,4",
+              "--a-grid=0.1,0.35,0.45,0.8,1.2,3"], [
+                "b5564b5521f7d0524ce38daa9c01e072e1fefd1f993c849e981ad25e32238e80",
+                "a5051d0b1b69e38efcedb13145ddffefbe562b0aa51b69d833ac885b5a423104",
+                "bce6f0702d69c55985f587232dfafe8777cd2008afb0fce1b4297f5d2dc93b14",
+            ]),
         ]
-        argv = ["verify", "--theorems", "all", "--n", "6..14"]
-        report, csv_file = tmp_path / "R", tmp_path / "C"
-        code, out, _ = run(capsys, *argv, "--report", str(report), "--csv", str(csv_file))
-        assert code == 0
-        digests = [hashlib.sha256(data).hexdigest()
-                   for data in (out.encode(), report.read_bytes(), csv_file.read_bytes())]
-        assert digests == golden
-
-        report, csv_file = tmp_path / "R-O", tmp_path / "C-O"
         env = dict(os.environ, PYTHONPATH=str(Path(treedex.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "treedex", *argv,
-             "--report", str(report), "--csv", str(csv_file)],
-            capture_output=True, env=env, timeout=600,
-        )
-        assert proc.returncode == 0, proc.stderr
-        digests = [hashlib.sha256(data).hexdigest()
-                   for data in (proc.stdout, report.read_bytes(), csv_file.read_bytes())]
-        assert digests == golden
+        for i, (args, golden) in enumerate(cases):
+            argv = ["verify", "--theorems", "all", *args]
+            report, csv_file = tmp_path / f"R{i}", tmp_path / f"C{i}"
+            code, out, _ = run(capsys, *argv, "--report", str(report), "--csv", str(csv_file))
+            assert code == 0
+            digests = [hashlib.sha256(data).hexdigest()
+                       for data in (out.encode(), report.read_bytes(), csv_file.read_bytes())]
+            assert digests == golden
+
+            report, csv_file = tmp_path / f"R{i}-O", tmp_path / f"C{i}-O"
+            proc = subprocess.run(
+                [sys.executable, "-O", "-m", "treedex", *argv,
+                 "--report", str(report), "--csv", str(csv_file)],
+                capture_output=True, env=env, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests = [hashlib.sha256(data).hexdigest()
+                       for data in (proc.stdout, report.read_bytes(), csv_file.read_bytes())]
+            assert digests == golden
 
 
 class TestUsage:

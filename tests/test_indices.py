@@ -147,6 +147,22 @@ class TestIndexTerms:
         for t in trees_up_to(7):
             assert values_close(index.of_degseq(t.degrees), sum(index.term(d) for d in t.degrees))
 
+    @pytest.mark.parametrize("kw, degrees, message", [
+        ({"alpha": 1000}, (4, 1, 1, 1, 1), "alpha=1000.0 at degree 4"),  # pow raises
+        ({"a": 1e80}, (4, 1, 1, 1, 1), "a=1e+80 at degree 4"),
+        ({"a": 3.98e61}, (5, 1, 1, 1, 1, 1), "a=3.98e+61 at degree 5"),  # 5 * a**5 is inf
+        ({"alpha": 511.5}, (4, 4, 1, 1, 1, 1, 1, 1), "alpha=511.5: the sum of the terms"),
+    ])
+    def test_overflow_names_parameter_and_degree(self, kw, degrees, message):
+        index = Index.of(**kw)
+        with pytest.raises(OverflowError) as exc:
+            index.of_degseq(degrees)
+        assert str(exc.value).startswith(message)
+        if "degree" in message:
+            with pytest.raises(OverflowError) as exc:
+                index.term(degrees[0])
+            assert str(exc.value) == message
+
 
 class TestShiftSignIdentity:
     """Sign structure of q(a) = a(8a^3 - 9a^2 + 1) = a(a-1)(8a^2 - a - 1)."""

@@ -4,12 +4,16 @@ from collections import Counter
 import pytest
 from conftest import all_free_trees
 
+import treedex.verify as verify
 from treedex import (
     CONFIRMED,
     DEFAULT_A_GRID,
     DEFAULT_ALPHA_GRID,
     REFUTED,
+    DegreeSequence,
     FamilyConstraint,
+    Index,
+    Tree,
     canonical_code,
     check_monotonicity,
     check_theorem,
@@ -24,12 +28,22 @@ from treedex import (
     sei_of_degseq,
     values_close,
 )
-from treedex.verify import _census, _witnesses
+from treedex.verify import _census, _degree_sequences, _values, _witnesses
 
 ALPHAS = (-1.0, 0.5, 2.0)
 
 # OEIS A000055: free trees on n vertices
 FREE_TREE_COUNTS = {6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551, 13: 1301, 14: 3159}
+
+
+def eager_witnesses(n):
+    """Degree sequence -> edge texts of its trees in canonical code order,
+    built from every free tree."""
+    classes: dict = {}
+    for t in all_free_trees(n):
+        classes.setdefault(t.degree_sequence(), []).append(t)
+    return {ds: tuple(t.edge_text() for t in sorted(trees, key=canonical_code))
+            for ds, trees in classes.items()}
 
 
 class TestCensus:
@@ -46,12 +60,70 @@ class TestCensus:
 
     def test_witnesses_match_eager_reference(self):
         for n in range(2, 13):
-            classes: dict = {}
-            for t in all_free_trees(n):
-                classes.setdefault(t.degree_sequence(), []).append(t)
-            for ds, trees in classes.items():
-                expected = tuple(t.edge_text() for t in sorted(trees, key=canonical_code))
+            for ds, expected in eager_witnesses(n).items():
                 assert _witnesses(ds) == expected
+
+
+class TestPartitionEngine:
+    def test_degree_sequences_are_the_census_classes(self):
+        for n in range(2, 15):
+            assert _degree_sequences(n) == tuple(_census(n))
+
+    def test_one_sequence_per_partition(self):
+        sympy = pytest.importorskip("sympy")
+        for n in range(2, 19):
+            assert len(_degree_sequences(n)) == sympy.partition(n - 2)
+
+    def test_order_cap(self):
+        for n in (1, 19):
+            with pytest.raises(ValueError, match=r"n must be in 2\.\.18"):
+                _degree_sequences(n)
+        with pytest.raises(ValueError, match=r"n must be in 2\.\.18"):
+            oracle_extremum(FamilyConstraint("pt", 19, 3), "min", alpha=2)
+
+    def test_verdicts_never_read_the_census(self, monkeypatch):
+        def no_census(n):
+            raise AssertionError("the census fed a verdict")
+
+        def no_tree(self):
+            raise AssertionError("a tree was built for a verdict")
+
+        monkeypatch.setattr(verify, "_census", no_census)
+        monkeypatch.setattr(verify, "_witnesses", no_census)  # its cache may hold classes
+        monkeypatch.setattr(Tree, "__post_init__", no_tree)
+        reports = check_theorem("pt-spider", range(6, 10))
+        assert reports and {r.verdict for r in reports} == {CONFIRMED, REFUTED}
+
+    def test_each_sequence_evaluated_once(self, monkeypatch):
+        # pt-spider and pt-balanced scan the same PT families, star every
+        # sequence; the memo must serve every repeat
+        calls = Counter()
+        of_degseq = Index.of_degseq
+
+        def counting(index, d):
+            if isinstance(d, tuple):  # the scan passes tuples, bounds a DegreeSequence
+                calls[index.x, d] += 1
+            return of_degseq(index, d)
+
+        monkeypatch.setattr(Index, "of_degseq", counting)
+        _values.cache_clear()
+        for theorem in ("pt-spider", "pt-balanced", "star", "pt-spider"):
+            check_theorem(theorem, range(6, 10), alpha_grid=(2.0, 3.0), a_grid=())
+        expected = {(x, ds.degrees) for x in (2.0, 3.0) for n in range(6, 10)
+                    for ds in _degree_sequences(n)}
+        assert set(calls) == expected
+        assert set(calls.values()) == {1}
+
+    def test_lazy_witnesses_of_a_refuted_cell(self):
+        reports = check_theorem("pt-spider", range(8, 9), alpha_grid=(), a_grid=(0.5,))
+        probe = next(r for r in reports if r.param == 6)
+        assert probe.verdict == REFUTED
+        assert "witness_edge_texts" not in vars(probe)  # nothing built yet
+        reference = eager_witnesses(8)
+        expected = tuple(text for ds in probe.optimal_degseqs
+                         for text in reference[DegreeSequence(ds)])
+        assert expected and probe.witness_edge_texts == expected
+        assert vars(probe)["witness_edge_texts"] is probe.witness_edge_texts
 
 
 class TestOracleExtremum:
