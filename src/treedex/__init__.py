@@ -15,7 +15,6 @@ from .bounds import (
     FamilyConstraint,
     balanced_counts,
     balanced_counts_formula,
-    claimed_direction,
     construct_extremal,
     theorem_bound,
 )
@@ -39,13 +38,6 @@ from .indices import (
 from .transforms import (
     TRANSFORMS,
     MoveRecord,
-    apply_b1,
-    apply_b3,
-    apply_b4,
-    apply_p1,
-    apply_p2,
-    apply_s1a,
-    apply_s1aa,
     claimed_sign,
     predicted_delta,
 )

@@ -200,22 +200,12 @@ THEOREM_NAMES = tuple(_THEOREMS)
 THEOREM_FAMILY = {name: th.family for name, th in _THEOREMS.items()}
 
 
-def _theorem(theorem: str) -> _Theorem:
-    if theorem not in _THEOREMS:
-        raise ValueError(f"unknown theorem {theorem!r}")
-    return _THEOREMS[theorem]
-
-
-def claimed_direction(theorem: str, *, alpha: float | None = None, a: float | None = None) -> str | None:
-    """The bound's claimed direction in the regime of the given parameter."""
-    index = Index.of(alpha=alpha, a=a)
-    return index.claim(_theorem(theorem).directions)
-
-
 @lru_cache(maxsize=None, typed=True)
 def _equality_degseq(theorem: str, n: int, param: int | None) -> DegreeSequence:
     """The theorem's equality sequence, once n and param are checked."""
-    th = _theorem(theorem)
+    if theorem not in _THEOREMS:
+        raise ValueError(f"unknown theorem {theorem!r}")
+    th = _THEOREMS[theorem]
     if th.family is None:
         if param is not None:
             raise ValueError("the star bound takes no family parameter")

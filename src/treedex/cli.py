@@ -104,14 +104,17 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _cmd_construct(args) -> int:
-    param = _theorem_param(args)
-    tree = construct_extremal(args.theorem, args.n, param)
-    text = tree.edge_text() + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+def _write_out(text: str, out: str | None) -> None:
+    """Write text to the --out file, or to stdout when there is none."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _cmd_construct(args) -> int:
+    param = _theorem_param(args)
+    _write_out(construct_extremal(args.theorem, args.n, param).edge_text() + "\n", args.out)
     return 0
 
 
@@ -122,14 +125,8 @@ def _cmd_enumerate(args) -> int:
         stream = family_members(FamilyConstraint(args.family, args.n, args.param))
     else:
         stream = free_trees(args.n)
-    blocks = (t.edge_text() for t in stream)
-    text = "\n\n".join(blocks)
-    if text:
-        text += "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    text = "\n\n".join(t.edge_text() for t in stream)
+    _write_out(text + "\n" if text else text, args.out)
     return 0
 
 
@@ -220,13 +217,15 @@ def _cmd_verify(args) -> int:
     for theorem in theorems:
         reports.extend(check_theorem(theorem, n_range, **kwargs))
     elapsed = time.perf_counter() - started
+    doc = reports_to_json(reports) if args.report or args.json else ""
     if args.report:
-        Path(args.report).write_text(reports_to_json(reports), encoding="utf-8")
+        Path(args.report).write_text(doc, encoding="utf-8")
+    if args.json:
+        sys.stdout.write(doc)
+    del doc  # not held while the CSV is built: it would add to peak memory
     if args.csv:
         Path(args.csv).write_text(reports_to_csv(reports), encoding="utf-8")
-    if args.json:
-        sys.stdout.write(reports_to_json(reports))
-    else:
+    if not args.json:
         for r in reports:
             param = "-" if r.param is None else r.param
             name = "alpha" if r.index_kind == "r0" else "a"

@@ -10,12 +10,18 @@ the bare level sequences to the verify census, which groups them by
 the degrees read off them and builds trees only for the witnesses it
 writes out.
 
+Every non-increasing positive n-tuple summing to 2(n - 1) is the degree
+sequence of some tree, so a family is a filter over the partitions of
+n - 2 (`_family`): the verify scan reads its sequences, family_members
+builds the trees whose degrees pass it.
+
 A Prüfer-decode generator over all n^(n-2) labeled trees is included as
 the independent cross-check oracle for small n.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from .bounds import FamilyConstraint, family_param
@@ -113,6 +119,34 @@ def _check_order(n: int) -> None:
         raise ValueError(f"n must be in 2..{DEFAULT_MAX_N}")
 
 
+def _partitions(m: int, largest: int):
+    """Partitions of m into parts <= largest, non-increasing, ascending
+    lexicographically."""
+    if m == 0:
+        yield ()
+    for part in range(1, min(m, largest) + 1):
+        for rest in _partitions(m - part, part):
+            yield (part, *rest)
+
+
+@lru_cache(maxsize=None)
+def _degree_sequences(n: int) -> tuple[DegreeSequence, ...]:
+    """Every degree sequence of an n-vertex tree, ascending by degrees.
+
+    One per partition of n - 2: add 1 to each part and pad with 1s.
+    """
+    _check_order(n)
+    return tuple(DegreeSequence(tuple(p + 1 for p in parts) + (1,) * (n - len(parts)))
+                 for parts in _partitions(n - 2, n - 2))
+
+
+@lru_cache(maxsize=None)
+def _family(kind: str | None, n: int, param: int | None) -> tuple[DegreeSequence, ...]:
+    """The family's degree sequences, ascending; kind None is every tree."""
+    return tuple(ds for ds in _degree_sequences(n)
+                 if kind is None or family_param(kind, ds) == param)
+
+
 def _level_sequences(n: int):
     """Canonical level sequence of each n-vertex free tree, in free_trees order."""
     _check_order(n)
@@ -139,11 +173,12 @@ def family_members(c: FamilyConstraint):
     """Members of PT/ST/BT(n, param) in free_trees order.
 
     For ST this is exactly the set of trees with n2 = n - k - 1. The
-    family parameter is read off the level sequence, so only members
-    are built as trees.
+    degrees read off each level sequence are checked against the
+    family's degree sequences, so only members are built as trees.
     """
+    members = {ds.degrees for ds in _family(c.kind, c.n, c.param)}
     for levels in _level_sequences(c.n):
-        if family_param(c.kind, DegreeSequence(_level_degrees(levels))) == c.param:
+        if _level_degrees(levels) in members:
             yield _tree_from_levels(levels)
 
 

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .indices import Index
-from .trees import Tree, realize_caterpillar
+from .trees import DegreeSequence, Tree, realize_caterpillar
 
 
 @dataclass(frozen=True)
@@ -178,31 +178,32 @@ def _pendants(t: Tree, v: int) -> list[int]:
     return [x for x in t.adjacency[v] if deg[x] == 1]
 
 
+def _caterpillar(seq: DegreeSequence) -> tuple[Tree, int, int]:
+    """The s-moves' set-up: the caterpillar realization of seq (spine
+    vertex i has degree seq.degrees[i]) and the ends v0, endpoint of its
+    longest path, pendants of spine vertices 0 and m - 1 (the first two
+    pendants of a star's centre)."""
+    cat = realize_caterpillar(seq)
+    m = len(seq) - seq.n1
+    v0, *rest = _pendants(cat, 0)
+    return cat, v0, rest[0] if m == 1 else _pendants(cat, m - 1)[0]
+
+
 def apply_s1a(t: Tree) -> MoveRecord:
     """On the caterpillar realization, move two pendants of a
     degree->=5 vertex to a longest-path endpoint. Keeps k."""
     seq = t.degree_sequence()
     if seq.degrees[0] < 5:
         raise ValueError("maximum degree is at most 4")
-    cat = realize_caterpillar(seq)
-    deg = cat.degrees
-    m = len(seq) - seq.n1
+    cat, v0, endpoint = _caterpillar(seq)
     vi = 0  # spine position of the maximum degree
-    if m == 1:
-        pend = _pendants(cat, vi)
-        v0, endpoint = pend[0], pend[1]
-        off = [x for x in pend if x not in (v0, endpoint)]
-    else:
-        v0 = _pendants(cat, 0)[0]
-        endpoint = _pendants(cat, m - 1)[0]
-        off = [x for x in _pendants(cat, vi) if x not in (v0, endpoint)]
-    u1, u2 = off[0], off[1]
+    u1, u2 = [x for x in _pendants(cat, vi) if x not in (v0, endpoint)][:2]
     return _record(
         "s1a", cat,
         [(vi, u1), (vi, u2)],
         [(u1, endpoint), (u2, endpoint)],
         (vi, endpoint, u1, u2),
-        [(deg[vi], deg[vi] - 2), (1, 3)],
+        [(seq.degrees[vi], seq.degrees[vi] - 2), (1, 3)],
     )
 
 
@@ -212,12 +213,8 @@ def apply_s1aa(t: Tree) -> MoveRecord:
     seq = t.degree_sequence()
     if seq.degrees.count(4) < 2:
         raise ValueError("needs two vertices of degree 4")
-    cat = realize_caterpillar(seq)
-    deg = cat.degrees
-    m = len(seq) - seq.n1
-    vi, vj = [v for v in range(m) if deg[v] == 4][:2]
-    v0 = _pendants(cat, 0)[0]
-    endpoint = _pendants(cat, m - 1)[0]
+    cat, v0, endpoint = _caterpillar(seq)
+    vi, vj = [v for v, d in enumerate(seq.degrees) if d == 4][:2]
     u1 = next(x for x in _pendants(cat, vi) if x not in (v0, endpoint))
     u2 = next(x for x in _pendants(cat, vj) if x not in (v0, endpoint))
     return _record(

@@ -7,15 +7,13 @@ optimizing degree sequences must equal the characterized equality
 sequence. Cells that fail are reported as REFUTED with witnesses;
 refutations are data, not errors.
 
-Both indices and the family parameters depend only on the degree
-sequence, and every non-increasing positive n-tuple summing to 2(n - 1)
-is the degree sequence of some tree. So a family is a filter over the
-partitions of n - 2, and a verdict is read off one index value per
-degree sequence: each (n, index) keeps a memo that a sequence enters
-the first time a scanned family contains it. No tree is built for a
-verdict. A cell's witnesses, every tree of every optimal sequence, are
-built from the level-sequence census only when the cell is written out
-(--report, --csv, --json), once per class.
+Both indices depend only on the degree sequence, and a family is a
+filter over degree sequences (enumeration._family), so a verdict is
+read off one index value per degree sequence: each (n, index) keeps a
+memo that a sequence enters the first time a scanned family contains
+it. No tree is built for a verdict. A cell's witnesses, every tree of
+every optimal sequence, are built from the level-sequence census only
+when the cell is written out (--report, --csv, --json), once per class.
 
 All outputs are deterministic: identical inputs produce byte-identical
 JSON and CSV documents (no timestamps or wall-clock data inside).
@@ -36,17 +34,10 @@ from .bounds import (
     FamilyConstraint,
     balanced_counts,
     balanced_counts_formula,
-    family_param,
     family_params,
     theorem_bound,
 )
-from .enumeration import (
-    _check_order,
-    _level_degrees,
-    _level_sequences,
-    _tree_from_levels,
-    free_trees,
-)
+from .enumeration import _family, _level_degrees, _level_sequences, _tree_from_levels, free_trees
 from .indices import ABS_TOL, REL_TOL, WINDOW_LOW_A, Index, values_close
 from .trees import DegreeSequence, canonical_code
 from .transforms import TRANSFORMS, claimed_sign
@@ -57,27 +48,8 @@ REFUTED = "REFUTED"
 DEFAULT_ALPHA_GRID = (-1.0, -0.5, 0.5, 2.0, 3.0)
 # Covers every regime, including both sides of the window boundary.
 DEFAULT_A_GRID = (0.2, 0.3, WINDOW_LOW_A + 0.01, 0.6, 0.9, 1.5, 2.0)
-
-
-def _partitions(m: int, largest: int):
-    """Partitions of m into parts <= largest, non-increasing, ascending
-    lexicographically."""
-    if m == 0:
-        yield ()
-    for part in range(1, min(m, largest) + 1):
-        for rest in _partitions(m - part, part):
-            yield (part, *rest)
-
-
-@lru_cache(maxsize=None)
-def _degree_sequences(n: int) -> tuple[DegreeSequence, ...]:
-    """Every degree sequence of an n-vertex tree, ascending by degrees.
-
-    One per partition of n - 2: add 1 to each part and pad with 1s.
-    """
-    _check_order(n)
-    return tuple(DegreeSequence(tuple(p + 1 for p in parts) + (1,) * (n - len(parts)))
-                 for parts in _partitions(n - 2, n - 2))
+# Orders covered by the balanced-count audit of full_report.
+_AUDIT_N_LO, _AUDIT_N_HI = 6, 14
 
 
 @lru_cache(maxsize=None)
@@ -99,13 +71,6 @@ def _witnesses(ds: DegreeSequence) -> tuple[str, ...]:
     """Edge texts of a census class, in canonical code order."""
     trees = sorted(map(_tree_from_levels, _census(len(ds))[ds]), key=canonical_code)
     return tuple(t.edge_text() for t in trees)
-
-
-@lru_cache(maxsize=None)
-def _family(kind: str | None, n: int, param: int | None) -> tuple[DegreeSequence, ...]:
-    """The family's degree sequences, ascending; kind None is every tree."""
-    return tuple(ds for ds in _degree_sequences(n)
-                 if kind is None or family_param(kind, ds) == param)
 
 
 @lru_cache(maxsize=None)
@@ -298,10 +263,10 @@ def check_monotonicity(kind: str, n_range, alpha_grid=DEFAULT_ALPHA_GRID,
     return rows
 
 
-def _balanced_count_audit(n_lo: int = 6, n_hi: int = 14) -> dict:
+def _balanced_count_audit() -> dict:
     rows = []
     failures = 0
-    for n in range(n_lo, n_hi + 1):
+    for n in range(_AUDIT_N_LO, _AUDIT_N_HI + 1):
         for n1 in range(3, n - 1):
             bc = balanced_counts(n, n1)
             fx, fy = balanced_counts_formula(n, n1)
@@ -331,7 +296,7 @@ def _balanced_count_audit(n_lo: int = 6, n_hi: int = 14) -> dict:
             "the direct closed-form count expressions, which fail the "
             "degree-sum identity and are therefore not used."
         ),
-        "n_range": [n_lo, n_hi],
+        "n_range": [_AUDIT_N_LO, _AUDIT_N_HI],
         "cells_checked": len(rows),
         "formula_identity_failures": failures,
         "cells": rows,
@@ -372,7 +337,8 @@ CSV_COLUMNS = ("theorem", "n", "param", "index", "index_param", "direction",
 
 
 def reports_to_csv(reports) -> str:
-    """CSV flattening with the same columns as the JSON schema.
+    """CSV flattening of the JSON schema, in CSV_COLUMNS order: csv
+    writes floats as their repr and a None param as an empty field.
 
     Witness edge lists use ';' between edges and '|' between witnesses.
     """
@@ -380,18 +346,7 @@ def reports_to_csv(reports) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in reports:
-        writer.writerow(
-            [
-                r.theorem,
-                r.n,
-                "" if r.param is None else r.param,
-                r.index_kind,
-                repr(r.index_param),
-                r.direction,
-                repr(r.bound),
-                repr(r.oracle),
-                r.verdict,
-                "|".join(text.replace("\n", ";") for text in r.witness_edge_texts),
-            ]
-        )
+        row = r.to_json_dict()
+        row["witnesses"] = "|".join(text.replace("\n", ";") for text in row["witnesses"])
+        writer.writerow(row[column] for column in CSV_COLUMNS)
     return buf.getvalue()

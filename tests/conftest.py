@@ -1,12 +1,20 @@
 """Shared trees, random-tree strategy and hypothesis settings of the test suite."""
 
+import os
 from functools import lru_cache
+from pathlib import Path
 
 from hypothesis import settings
 from hypothesis import strategies as st
 
+import treedex
 from treedex import Tree, free_trees
 from treedex.enumeration import _prufer_edges
+
+# `python -m treedex` subprocesses import the package the tests import,
+# also under a bare `pytest`, where only sys.path holds the source tree.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (str(Path(treedex.__file__).parents[1]), os.environ.get("PYTHONPATH"))))
 
 # Property tests replay the same examples on every run and never fail on
 # wall time, so a slow machine cannot turn them red.

@@ -7,7 +7,6 @@ from treedex import (
     FamilyConstraint,
     balanced_counts,
     balanced_counts_formula,
-    claimed_direction,
     construct_extremal,
     r0_general,
     sei,
@@ -195,21 +194,28 @@ class TestBoundValues:
 
 class TestDirections:
     def test_regime_table(self):
-        assert claimed_direction("pt-spider", alpha=2) == "max"
-        assert claimed_direction("pt-spider", alpha=0.5) == "min"
-        assert claimed_direction("pt-spider", a=0.5) == "min"
-        assert claimed_direction("pt-spider", a=2) is None
-        assert claimed_direction("pt-balanced", a=0.2) == "max"
-        assert claimed_direction("bt-small", a=2) == "min"
-        assert claimed_direction("bt-small", a=0.5) == "max"
-        assert claimed_direction("bt-big", alpha=-1) == "max"
-        assert claimed_direction("st-star", a=1.5) == "max"
-        assert claimed_direction("st-star", a=0.9) is None
-        assert claimed_direction("st-parity", a=2) == "min"
-        assert claimed_direction("st-parity", a=0.6) == "max"
-        assert claimed_direction("st-parity", a=0.3) is None
-        assert claimed_direction("star", alpha=0.5) == "min"
-        assert claimed_direction("star", a=0.5) is None
+        # the claimed direction depends only on the parameter's regime,
+        # so one valid cell per family stands for every n and param
+        cells = {"pt": (8, 3), "bt": (8, 1), "st": (8, 4), None: (8, None)}
+        for theorem, kw, expected in [
+            ("pt-spider", {"alpha": 2}, "max"),
+            ("pt-spider", {"alpha": 0.5}, "min"),
+            ("pt-spider", {"a": 0.5}, "min"),
+            ("pt-spider", {"a": 2}, None),
+            ("pt-balanced", {"a": 0.2}, "max"),
+            ("bt-small", {"a": 2}, "min"),
+            ("bt-small", {"a": 0.5}, "max"),
+            ("bt-big", {"alpha": -1}, "max"),
+            ("st-star", {"a": 1.5}, "max"),
+            ("st-star", {"a": 0.9}, None),
+            ("st-parity", {"a": 2}, "min"),
+            ("st-parity", {"a": 0.6}, "max"),
+            ("st-parity", {"a": 0.3}, None),
+            ("star", {"alpha": 0.5}, "min"),
+            ("star", {"a": 0.5}, None),
+        ]:
+            n, param = cells[bounds.THEOREM_FAMILY[theorem]]
+            assert theorem_bound(theorem, n, param, **kw).direction == expected
 
 
 class TestEqualitySequences:

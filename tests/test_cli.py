@@ -261,6 +261,14 @@ class TestVerifyCommand:
         assert "CONFIRMED" in out and "cells: 6" in out
         assert "cells in" in err  # timing goes to stderr only
 
+    def test_report_and_json_agree(self, capsys, tmp_path):
+        report = tmp_path / "out.json"
+        code, out, _ = run(capsys, "verify", "--theorems", "pt-spider,star", "--n", "6..9",
+                           "--report", str(report), "--json")
+        assert code == 0
+        assert out.encode() == report.read_bytes()
+        assert len(json.loads(out)) > 0
+
     def test_refuted_cells_exit_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorems", "pt-spider", "--n", "8",
                            "--alpha-grid", "", "--a-grid", "0.5")

@@ -5,13 +5,6 @@ from treedex import (
     TRANSFORMS,
     DegreeSequence,
     Tree,
-    apply_b1,
-    apply_b3,
-    apply_b4,
-    apply_p1,
-    apply_p2,
-    apply_s1a,
-    apply_s1aa,
     claimed_sign,
     predicted_delta,
     r0_general,
@@ -19,6 +12,15 @@ from treedex import (
     sei,
     structural_profile,
     values_close,
+)
+from treedex.transforms import (
+    apply_b1,
+    apply_b3,
+    apply_b4,
+    apply_p1,
+    apply_p2,
+    apply_s1a,
+    apply_s1aa,
 )
 
 ALPHAS = (-1.0, 2.0)

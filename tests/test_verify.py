@@ -28,7 +28,8 @@ from treedex import (
     sei_of_degseq,
     values_close,
 )
-from treedex.verify import _census, _degree_sequences, _values, _witnesses
+from treedex.enumeration import _degree_sequences
+from treedex.verify import _census, _values, _witnesses
 
 ALPHAS = (-1.0, 0.5, 2.0)
 
