@@ -66,7 +66,7 @@ def _cmd_index(args) -> int:
 
 def _theorem_param(args) -> int | None:
     family = THEOREM_FAMILY[args.theorem]
-    given = {"n1": args.n1, "k": args.k, "b": args.b}
+    given = {name: getattr(args, name) for name, _ in FAMILY_PARAM.values()}
     set_flags = [name for name, val in given.items() if val is not None]
     if family is None:
         if set_flags:
@@ -93,13 +93,13 @@ def _cmd_bound(args) -> int:
                     "index_param": index.x,
                     "value": bound.value,
                     "direction": bound.direction,
-                    "degree_sequence": list(bound.equality_degseq.degrees),
+                    "degree_sequence": list(bound.equality_degseq),
                 }
             )
         )
     else:
         print(_fmt(bound.value))
-        print("degree sequence:", " ".join(str(d) for d in bound.equality_degseq.degrees))
+        print("degree sequence:", " ".join(map(str, bound.equality_degseq)))
         print("direction:", bound.direction if bound.direction else "unclaimed in this regime")
     return 0
 
@@ -261,9 +261,8 @@ def _build_parser() -> _Parser:
     def add_theorem_flags(p):
         p.add_argument("--theorem", required=True, choices=THEOREM_NAMES)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--n1", type=int, help="pendant count (pt-* theorems)")
-        p.add_argument("--k", type=int, help="segment count (st-* theorems)")
-        p.add_argument("--b", type=int, help="branching count (bt-* theorems)")
+        for kind, (name, noun) in FAMILY_PARAM.items():
+            p.add_argument(f"--{name}", type=int, help=f"{noun} count ({kind}-* theorems)")
 
     p = sub.add_parser("bound", help="closed-form bound and equality degree sequence")
     add_theorem_flags(p)

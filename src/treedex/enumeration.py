@@ -176,7 +176,7 @@ def family_members(c: FamilyConstraint):
     degrees read off each level sequence are checked against the
     family's degree sequences, so only members are built as trees.
     """
-    members = {ds.degrees for ds in _family(c.kind, c.n, c.param)}
+    members = set(_family(c.kind, c.n, c.param))
     for levels in _level_sequences(c.n):
         if _level_degrees(levels) in members:
             yield _tree_from_levels(levels)
@@ -212,9 +212,6 @@ def labeled_trees_prufer(n: int):
     """
     if n < 2:
         raise ValueError("labeled trees require n >= 2")
-    if n == 2:
-        yield Tree(2, ((0, 1),))
-        return
     for seq in product(range(n), repeat=n - 2):
         yield Tree(n, _prufer_edges(seq, n))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .trees import Tree
 
@@ -49,6 +50,8 @@ class Index:
 
     kind is "r0" (x = alpha) or "sei" (x = a); regime is one of REGIMES.
     Build it with Index.of, the only place that validates parameters.
+    It keeps what it builds, so a repeated call (the keyword functions
+    below, once per verify cell) gets the held Index back.
     """
 
     kind: str
@@ -56,6 +59,7 @@ class Index:
     regime: str
 
     @classmethod
+    @lru_cache(maxsize=None)
     def of(cls, *, alpha: float | None = None, a: float | None = None) -> Index:
         if (alpha is None) == (a is None):
             raise ValueError("exactly one of alpha, a must be given")

@@ -64,6 +64,12 @@ def _ranked(t: Tree, vertices) -> list[int]:
     return sorted(vertices, key=lambda v: (-deg[v], v))
 
 
+def _off_path(t: Tree, x: int, y: int) -> list[int]:
+    """x's neighbours by rank, except the one on the path toward y."""
+    toward = t.bfs(y)[1][x]
+    return _ranked(t, (z for z in t.adjacency[x] if z != toward))
+
+
 def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
@@ -83,8 +89,7 @@ def apply_p1(t: Tree) -> MoveRecord:
     if len(branching) < 2:
         raise ValueError("needs at least two branching vertices")
     u, v = branching[0], branching[1]
-    toward = t.bfs(u)[1][v]
-    w = _ranked(t, (x for x in t.adjacency[v] if x != toward))[0]
+    w = _off_path(t, v, u)[0]
     return _record("p1", t, [(v, w)], [(u, w)], (u, v, w),
                    [(deg[u], deg[u] + 1), (deg[v], deg[v] - 1)])
 
@@ -101,21 +106,20 @@ def apply_p2(t: Tree) -> MoveRecord:
             break
     else:
         raise ValueError("no internal pair with degree gap >= 2")
-    toward = t.bfs(v)[1][u]
-    w = _ranked(t, (x for x in t.adjacency[u] if x != toward))[0]
+    w = _off_path(t, u, v)[0]
     return _record("p2", t, [(u, w)], [(v, w)], (u, v, w),
                    [(deg[u], deg[u] - 1), (deg[v], deg[v] + 1)])
 
 
-def _branch_depth(t: Tree, u: int, root: int) -> tuple[int, int]:
-    # Deepest vertex in the branch of u rooted at neighbor `root`;
-    # ties resolved to the smallest id.
+def _branch_end(t: Tree, u: int, root: int) -> tuple[int, int, int]:
+    # (-depth, end, root): the branch of u at neighbor `root` and its
+    # deepest vertex, ties resolved to the smallest id; sorts deepest first.
     order, parent = t.bfs(root, avoid=u)
     depth = [1] * t.n
     for x in order[1:]:
         depth[x] = depth[parent[x]] + 1
     deepest = depth[order[-1]]
-    return deepest, min(x for x in order if depth[x] == deepest)
+    return -deepest, min(x for x in order if depth[x] == deepest), root
 
 
 def apply_b1(t: Tree) -> MoveRecord:
@@ -125,16 +129,8 @@ def apply_b1(t: Tree) -> MoveRecord:
     u = _ranked(t, range(t.n))[0]
     if deg[u] < 4:
         raise ValueError("maximum degree is at most 3")
-    branches = [(_branch_depth(t, u, r), r) for r in t.adjacency[u]]
-    best = None
-    for i in range(len(branches)):
-        for j in range(i + 1, len(branches)):
-            (di, ei), ri = branches[i]
-            (dj, ej), rj = branches[j]
-            key = (-(di + dj), min(ei, ej), max(ei, ej))
-            if best is None or key < best[0]:
-                best = (key, (ei, ri), (ej, rj))
-    (e1, r1), (e2, r2) = best[1], best[2]
+    # the two deepest branches make the longest path; ties go to the smallest ends
+    (_, e1, r1), (_, e2, r2) = sorted(_branch_end(t, u, r) for r in t.adjacency[u])[:2]
     endpoint = max(e1, e2)
     w = _ranked(t, (x for x in t.adjacency[u] if x not in (r1, r2)))[0]
     # the endpoint is the deepest vertex of its branch, hence a pendant
@@ -150,9 +146,7 @@ def apply_b3(t: Tree) -> MoveRecord:
     if len(big) < 2:
         raise ValueError("needs two vertices of degree at least 4")
     u, v = big[0], big[1]
-    toward = t.bfs(u)[1][v]
-    others = _ranked(t, (x for x in t.adjacency[v] if x != toward))
-    moved = sorted(others[2:])
+    moved = sorted(_off_path(t, v, u)[2:])
     return _record("b3", t, [(v, x) for x in moved], [(u, x) for x in moved], (u, v),
                    [(deg[v], 3), (deg[u], deg[u] + deg[v] - 3)])
 
@@ -180,7 +174,7 @@ def _pendants(t: Tree, v: int) -> list[int]:
 
 def _caterpillar(seq: DegreeSequence) -> tuple[Tree, int, int]:
     """The s-moves' set-up: the caterpillar realization of seq (spine
-    vertex i has degree seq.degrees[i]) and the ends v0, endpoint of its
+    vertex i has degree seq[i]) and the ends v0, endpoint of its
     longest path, pendants of spine vertices 0 and m - 1 (the first two
     pendants of a star's centre)."""
     cat = realize_caterpillar(seq)
@@ -193,7 +187,7 @@ def apply_s1a(t: Tree) -> MoveRecord:
     """On the caterpillar realization, move two pendants of a
     degree->=5 vertex to a longest-path endpoint. Keeps k."""
     seq = t.degree_sequence()
-    if seq.degrees[0] < 5:
+    if seq[0] < 5:
         raise ValueError("maximum degree is at most 4")
     cat, v0, endpoint = _caterpillar(seq)
     vi = 0  # spine position of the maximum degree
@@ -203,7 +197,7 @@ def apply_s1a(t: Tree) -> MoveRecord:
         [(vi, u1), (vi, u2)],
         [(u1, endpoint), (u2, endpoint)],
         (vi, endpoint, u1, u2),
-        [(seq.degrees[vi], seq.degrees[vi] - 2), (1, 3)],
+        [(seq[vi], seq[vi] - 2), (1, 3)],
     )
 
 
@@ -211,10 +205,10 @@ def apply_s1aa(t: Tree) -> MoveRecord:
     """On the caterpillar realization, move one pendant from each of two
     degree-4 vertices to a longest-path endpoint. Keeps k."""
     seq = t.degree_sequence()
-    if seq.degrees.count(4) < 2:
+    if seq.count(4) < 2:
         raise ValueError("needs two vertices of degree 4")
     cat, v0, endpoint = _caterpillar(seq)
-    vi, vj = [v for v, d in enumerate(seq.degrees) if d == 4][:2]
+    vi, vj = [v for v, d in enumerate(seq) if d == 4][:2]
     u1 = next(x for x in _pendants(cat, vi) if x not in (v0, endpoint))
     u2 = next(x for x in _pendants(cat, vj) if x not in (v0, endpoint))
     return _record(

@@ -94,63 +94,60 @@ class Tree:
         return "\n".join(f"{u} {v}" for u, v in self.edges)
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
+class DegreeSequence(tuple):
     """Non-increasing positive degrees with sum 2(n-1).
 
     Together with positivity the sum condition is exactly
     tree-realizability. The single-vertex tree is the degenerate (0,).
 
-    It also carries the family statistics: n1 counts pendant vertices
-    (degree 1), n2 degree-2 vertices and b branching vertices (degree
-    >= 3); k = n - n2 - 1 is the segment count, cross-checked by
+    It is the sorted tuple itself, equal to its plain `degrees`, and
+    carries the family statistics: n1 counts pendant vertices (degree
+    1), n2 degree-2 vertices and b branching vertices (degree >= 3);
+    k = n - n2 - 1 is the segment count, cross-checked by
     segment_decomposition.
     """
 
-    degrees: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        degs = tuple(sorted(self.degrees, reverse=True))
-        object.__setattr__(self, "degrees", degs)
+    def __new__(cls, degrees) -> DegreeSequence:
+        degs = tuple(sorted(degrees, reverse=True))
         n = len(degs)
         if n == 0:
             raise ValueError("empty degree sequence")
         if n == 1:
             if degs != (0,):
                 raise ValueError("a single-vertex tree has degree sequence (0,)")
-            return
-        if degs[-1] < 1:
+        elif degs[-1] < 1:
             raise ValueError("degrees must be positive")
-        if sum(degs) != 2 * (n - 1):
+        elif sum(degs) != 2 * (n - 1):
             raise ValueError(
                 f"degree sum {sum(degs)} != 2(n-1) = {2 * (n - 1)}: not tree-realizable"
             )
+        return super().__new__(cls, degs)
 
-    def __len__(self) -> int:
-        return len(self.degrees)
-
-    def __iter__(self):
-        return iter(self.degrees)
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def n1(self) -> int:
-        return self.degrees.count(1)
+        return self.count(1)
 
     @property
     def n2(self) -> int:
-        return self.degrees.count(2)
+        return self.count(2)
 
     @property
     def b(self) -> int:
-        return sum(1 for d in self.degrees if d >= 3)
+        return sum(1 for d in self if d >= 3)
 
     @property
     def k(self) -> int:
-        return len(self.degrees) - self.n2 - 1
+        return len(self) - self.n2 - 1
 
     @property
     def max_degree(self) -> int:
-        return self.degrees[0]
+        return self[0]
 
 
 def structural_profile(t: Tree) -> DegreeSequence:
@@ -243,18 +240,13 @@ def realize_caterpillar(d: DegreeSequence) -> Tree:
     Spine vertices 0..m-1 carry the internal degrees in non-increasing
     order; pendant ids are assigned left to right along the spine.
     """
-    degs = d.degrees
-    n = len(degs)
-    if n == 1:
-        return Tree(1, ())
-    if n == 2:
-        return Tree(2, ((0, 1),))
-    m = n - d.n1
+    n = len(d)
+    m = max(n - d.n1, 1)  # (1, 1) has no internal vertex: its spine is vertex 0
     edges = [(i, i + 1) for i in range(m - 1)]
     nxt = m
     for i in range(m):
         spine_nbrs = 0 if m == 1 else (1 if i in (0, m - 1) else 2)
-        for _ in range(degs[i] - spine_nbrs):
+        for _ in range(d[i] - spine_nbrs):
             edges.append((i, nxt))
             nxt += 1
     return Tree(n, tuple(edges))

@@ -53,17 +53,18 @@ _AUDIT_N_LO, _AUDIT_N_HI = 6, 14
 
 
 @lru_cache(maxsize=None)
-def _census(n: int) -> dict[DegreeSequence, tuple[bytes, ...]]:
-    """Degree sequence -> level sequence of each tree in its class.
+def _census(n: int) -> dict[tuple[int, ...], tuple[bytes, ...]]:
+    """Degree tuple -> level sequence of each tree in its class.
 
-    Sequences ascend by degrees and each class keeps free_trees order.
+    Keys ascend (a DegreeSequence equals its tuple, so it finds its
+    class), and each class keeps free_trees order.
     No tree is built here; `_witnesses` builds a class when it is
     written out. Verdicts never read the census.
     """
     classes: dict[tuple[int, ...], list[bytes]] = {}
     for levels in _level_sequences(n):
         classes.setdefault(_level_degrees(levels), []).append(bytes(levels))
-    return {DegreeSequence(degrees): tuple(classes[degrees]) for degrees in sorted(classes)}
+    return {degrees: tuple(classes[degrees]) for degrees in sorted(classes)}
 
 
 @lru_cache(maxsize=None)
@@ -74,7 +75,7 @@ def _witnesses(ds: DegreeSequence) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
-def _values(n: int, index: Index) -> dict[tuple[int, ...], float]:
+def _values(n: int, index: Index) -> dict[DegreeSequence, float]:
     """Index value of each n-vertex degree sequence scanned so far."""
     return {}
 
@@ -86,9 +87,9 @@ def _scan(kind: str | None, n: int, param: int | None, direction: str, index: In
     memo = _values(n, index)
     values = []
     for ds in family:
-        value = memo.get(ds.degrees)
+        value = memo.get(ds)
         if value is None:  # first scan of this sequence at this index
-            value = memo[ds.degrees] = index.of_degseq(ds.degrees)
+            value = memo[ds] = index.of_degseq(ds)
         values.append(value)
     best = min(values) if direction == "min" else max(values)
     winners = tuple(compress(family, map(values_close, values, repeat(best))))
@@ -101,8 +102,7 @@ def oracle_extremum(c: FamilyConstraint, direction: str, *,
     set of optimizing degree sequences."""
     if direction not in ("min", "max"):
         raise ValueError("direction must be 'min' or 'max'")
-    best, winners = _scan(c.kind, c.n, c.param, direction, Index.of(alpha=alpha, a=a))
-    return best, tuple(ds.degrees for ds in winners)
+    return _scan(c.kind, c.n, c.param, direction, Index.of(alpha=alpha, a=a))
 
 
 @dataclass(frozen=True)
@@ -120,13 +120,13 @@ class TheoremReport:
     bound_matches: bool
     equality_set_matches: bool
     verdict: str
-    expected_degseq: tuple[int, ...]
-    optimal_degseqs: tuple[tuple[int, ...], ...]
+    expected_degseq: DegreeSequence
+    optimal_degseqs: tuple[DegreeSequence, ...]
 
     @cached_property
     def witness_edge_texts(self) -> tuple[str, ...]:
         """Every tree of every optimal degree sequence, built on first read."""
-        return tuple(text for ds in self.optimal_degseqs for text in _witnesses(DegreeSequence(ds)))
+        return tuple(text for ds in self.optimal_degseqs for text in _witnesses(ds))
 
     def to_json_dict(self) -> dict:
         return {
@@ -163,8 +163,8 @@ def _check_cell(theorem: str, n: int, param: int | None, index: Index) -> Theore
         bound_matches=bound_matches,
         equality_set_matches=equality_set_matches,
         verdict=CONFIRMED if bound_matches and equality_set_matches else REFUTED,
-        expected_degseq=bound.equality_degseq.degrees,
-        optimal_degseqs=tuple(ds.degrees for ds in winners),
+        expected_degseq=bound.equality_degseq,
+        optimal_degseqs=winners,
     )
 
 

@@ -106,6 +106,7 @@ class TestPruferOracle:
         # Cayley: n^(n-2) labeled trees
         for n in (2, 3, 4, 5, 6):
             assert sum(1 for _ in labeled_trees_prufer(n)) == n ** max(n - 2, 0)
+        assert [t.edges for t in labeled_trees_prufer(2)] == [((0, 1),)]
 
     def test_all_decodes_are_trees(self):
         for t in labeled_trees_prufer(6):

@@ -303,6 +303,22 @@ class TestDegreeSequence:
         with pytest.raises(ValueError):
             DegreeSequence(())
 
+    def test_is_its_plain_tuple(self):
+        ds = DegreeSequence((1, 2, 2, 1))
+        assert isinstance(ds, tuple) and ds == (2, 2, 1, 1)
+        assert hash(ds) == hash((2, 2, 1, 1))
+        assert {(2, 2, 1, 1): "plain"}[ds] == "plain"
+        assert {ds: "wrapped"}[(2, 2, 1, 1)] == "wrapped"
+        assert type(ds.degrees) is tuple and ds.degrees == (2, 2, 1, 1)
+        assert "__len__" not in vars(DegreeSequence) and "__iter__" not in vars(DegreeSequence)
+
+    def test_immutable(self):
+        ds = DegreeSequence((2, 2, 1, 1))
+        with pytest.raises(AttributeError):
+            ds.n1 = 3
+        with pytest.raises(AttributeError):
+            ds.label = "path"
+
 
 class TestRealizeCaterpillar:
     def test_path4(self):
@@ -320,8 +336,8 @@ class TestRealizeCaterpillar:
         assert tuple(t.degree_sequence().degrees) == (4, 3, 2, 1, 1, 1, 1, 1)
 
     def test_tiny(self):
-        assert realize_caterpillar(DegreeSequence((0,))).n == 1
-        assert realize_caterpillar(DegreeSequence((1, 1))).n == 2
+        assert realize_caterpillar(DegreeSequence((0,))) == Tree(1, ())
+        assert realize_caterpillar(DegreeSequence((1, 1))) == Tree(2, ((0, 1),))
 
     def test_roundtrip_degree_sequence(self):
         for t in trees_up_to(10):

@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -10,7 +11,6 @@ from treedex import (
     DEFAULT_A_GRID,
     DEFAULT_ALPHA_GRID,
     REFUTED,
-    DegreeSequence,
     FamilyConstraint,
     Index,
     Tree,
@@ -26,6 +26,7 @@ from treedex import (
     reports_to_json,
     sei,
     sei_of_degseq,
+    theorem_bound,
     values_close,
 )
 from treedex.enumeration import _degree_sequences
@@ -100,9 +101,10 @@ class TestPartitionEngine:
         # sequence; the memo must serve every repeat
         calls = Counter()
         of_degseq = Index.of_degseq
+        scan_code = verify._scan.__code__
 
         def counting(index, d):
-            if isinstance(d, tuple):  # the scan passes tuples, bounds a DegreeSequence
+            if sys._getframe(1).f_code is scan_code:  # bounds evaluates sequences too
                 calls[index.x, d] += 1
             return of_degseq(index, d)
 
@@ -115,6 +117,16 @@ class TestPartitionEngine:
         assert set(calls) == expected
         assert set(calls.values()) == {1}
 
+    def test_bounds_reuse_the_held_index(self):
+        # verify checks a theorem_bound per cell; after the first cell at a
+        # grid value, every later call gets the held Index back
+        check_theorem("star", range(6, 8))
+        misses = Index.of.cache_info().misses
+        for index in verify._grid(DEFAULT_ALPHA_GRID, DEFAULT_A_GRID):
+            theorem_bound("star", 9, **index.keyword)
+        check_theorem("pt-spider", range(6, 9))
+        assert Index.of.cache_info().misses == misses
+
     def test_lazy_witnesses_of_a_refuted_cell(self):
         reports = check_theorem("pt-spider", range(8, 9), alpha_grid=(), a_grid=(0.5,))
         probe = next(r for r in reports if r.param == 6)
@@ -122,7 +134,7 @@ class TestPartitionEngine:
         assert "witness_edge_texts" not in vars(probe)  # nothing built yet
         reference = eager_witnesses(8)
         expected = tuple(text for ds in probe.optimal_degseqs
-                         for text in reference[DegreeSequence(ds)])
+                         for text in reference[ds])
         assert expected and probe.witness_edge_texts == expected
         assert vars(probe)["witness_edge_texts"] is probe.witness_edge_texts
 
