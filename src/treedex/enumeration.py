@@ -16,7 +16,10 @@ n - 2 (`_family`): the verify scan reads its sequences, family_members
 builds the trees whose degrees pass it.
 
 A Prüfer-decode generator over all n^(n-2) labeled trees is included as
-the independent cross-check oracle for small n.
+the independent cross-check oracle for small n. The oracle's count
+codes each decode straight from its adjacency lists with the
+tree-checking leaf peel behind canonical_code, so it builds no Tree;
+labeled_trees_prufer still yields validated Trees.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from functools import lru_cache
 from itertools import product
 
 from .bounds import FamilyConstraint, family_param
-from .trees import DegreeSequence, Tree, canonical_code
+from .trees import DegreeSequence, Tree, _adjacency, _peel_code
+from .trees import canonical_code  # noqa: F401  (looked up here by perfbench/tracer.py)
 
 DEFAULT_MAX_N = 18
 
@@ -205,17 +209,27 @@ def _prufer_edges(seq: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
+def _prufer_decodes(n: int):
+    """Edges of every labeled tree on n vertices, one per Prüfer sequence."""
+    if n < 2:
+        raise ValueError("labeled trees require n >= 2")
+    for seq in product(range(n), repeat=n - 2):
+        yield _prufer_edges(seq, n)
+
+
 def labeled_trees_prufer(n: int):
     """Every labeled tree on n vertices, decoded from its Prüfer sequence.
 
     n^(n-2) trees; the independent oracle behind the canonical generator.
     """
-    if n < 2:
-        raise ValueError("labeled trees require n >= 2")
-    for seq in product(range(n), repeat=n - 2):
-        yield Tree(n, _prufer_edges(seq, n))
+    for edges in _prufer_decodes(n):
+        yield Tree(n, edges)
 
 
 def free_tree_count_by_prufer(n: int) -> int:
-    """Number of distinct canonical codes over all labeled trees."""
-    return len({canonical_code(t) for t in labeled_trees_prufer(n)})
+    """Number of distinct canonical codes over all labeled trees.
+
+    Each decode is coded from its adjacency lists by the peel behind
+    canonical_code, which checks that it is a tree; no Tree is built.
+    """
+    return len({_peel_code(_adjacency(n, edges)) for edges in _prufer_decodes(n)})

@@ -50,8 +50,9 @@ class Index:
 
     kind is "r0" (x = alpha) or "sei" (x = a); regime is one of REGIMES.
     Build it with Index.of, the only place that validates parameters.
-    It keeps what it builds, so a repeated call (the keyword functions
-    below, once per verify cell) gets the held Index back.
+    It keeps what it builds, keyed by (kind, float x) however the keyword
+    was written, so a repeated call (the keyword functions below, once
+    per verify cell) gets the held Index back.
     """
 
     kind: str
@@ -59,21 +60,24 @@ class Index:
     regime: str
 
     @classmethod
-    @lru_cache(maxsize=None)
     def of(cls, *, alpha: float | None = None, a: float | None = None) -> Index:
         if (alpha is None) == (a is None):
             raise ValueError("exactly one of alpha, a must be given")
-        name, x = ("alpha", alpha) if alpha is not None else ("a", a)
-        x = float(x)
+        return cls._of("r0", float(alpha)) if alpha is not None else cls._of("sei", float(a))
+
+    @classmethod
+    @lru_cache(maxsize=None)
+    def _of(cls, kind: str, x: float) -> Index:
+        name = "alpha" if kind == "r0" else "a"
         if not math.isfinite(x):
             raise ValueError(f"{name} must be finite, got {x!r}")
-        if name == "alpha":
+        if kind == "r0":
             if x == 0.0 or x == 1.0:
                 raise ValueError("alpha must be a real number other than 0 and 1")
-            return cls("r0", x, "concave" if 0.0 < x < 1.0 else "convex")
+            return cls(kind, x, "concave" if 0.0 < x < 1.0 else "convex")
         if x <= 0.0 or x == 1.0:
             raise ValueError("a must be a positive real number different from 1")
-        return cls("sei", x, "above_one" if x > 1.0 else "window" if x > WINDOW_LOW_A else "low")
+        return cls(kind, x, "above_one" if x > 1.0 else "window" if x > WINDOW_LOW_A else "low")
 
     @property
     def keyword(self) -> dict[str, float]:

@@ -3,6 +3,11 @@
 Vertices are dense 0-based integers. A Tree is immutable after
 construction and every operation returns new values, so everything in
 this module can be used from concurrent workers without locking.
+
+The canonical code is a leaf peel over adjacency lists (`_peel_code`)
+that also checks the graph is a tree. `canonical_code` runs it on a
+Tree; the Prüfer oracle and verify's witnesses run it on the lists they
+decode, with the one edge-text formatter, and build no Tree.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ class Tree:
     Construction validates the tree invariants: exactly n-1 edges, no
     self-loops, no duplicates, connected. `bfs` is the one rooted
     traversal: the connectivity check and the moves' neighbour and
-    branch-depth queries walk the tree through it (canonical codes
-    come from the leaf peel that finds the center).
+    branch-depth queries walk the tree through it. Canonical codes come
+    from a leaf peel over the adjacency lists, which also codes the
+    decoders' trees without building a Tree.
     """
 
     n: int
@@ -50,12 +56,8 @@ class Tree:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
         # Sorted edges put each vertex's neighbours in ascending order already.
-        return tuple(map(tuple, adj))
+        return tuple(map(tuple, _adjacency(self.n, self.edges)))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -91,7 +93,21 @@ class Tree:
 
     def edge_text(self) -> str:
         """Serialize as edge-list text (one 'u v' line per edge)."""
-        return "\n".join(f"{u} {v}" for u, v in self.edges)
+        return _edge_text(self.edges)
+
+
+def _adjacency(n: int, edges) -> list[list[int]]:
+    """Neighbour list of each of the n vertices, in edge order."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _edge_text(edges) -> str:
+    """Edge-list text: one 'u v' line per edge, in the order given."""
+    return "\n".join(f"{u} {v}" for u, v in edges)
 
 
 class DegreeSequence(tuple):
@@ -201,19 +217,35 @@ def canonical_code(t: Tree) -> bytes:
     Nested-parenthesis encoding rooted at the tree center; bicentral
     trees take the lexicographically smaller of the two center codes.
     Serialize with .hex() for text output.
+    """
+    return _peel_code(t.adjacency)
+
+
+def _peel_code(adjacency) -> bytes:
+    """canonical_code of the graph with these neighbour lists (a loop
+    listed twice at its vertex); ValueError if the graph is not a tree.
 
     One leaf peel finds the center and codes the tree on the way: a
     vertex is coded when it is peeled, and its code goes to the one
     neighbour still unpeeled, its parent toward the center. A bicentral
     tree's two center codes are each center's own half plus the other's.
+
+    Once it has n - 1 edges, the graph is a tree exactly when it has no cycle.
+    A cycle's vertices (a loop or a repeated edge included) keep degree
+    two or more, so they are never peeled and never end as centers: the
+    peel raises when it runs out of leaves, when vertices are left
+    beside the centers, or, for n = 2, when the two are not adjacent.
     """
-    n = t.n
-    adjacency = t.adjacency
-    deg = list(t.degrees)
+    n = len(adjacency)
+    deg = [len(a) for a in adjacency]
+    if sum(deg) != 2 * (n - 1):
+        raise ValueError(f"not a tree: {sum(deg) // 2} edges on {n} vertices")
     child_codes: list[list[bytes]] = [[] for _ in range(n)]
     leaves = [v for v in range(n) if deg[v] == 1] if n > 2 else list(range(n))
-    left = n
+    left = n  # vertices not yet peeled; the current leaves are among them
     while left > 2:
+        if not leaves:
+            raise ValueError(f"not a tree: no leaf among {left} remaining vertices")
         left -= len(leaves)
         nxt = []
         for v in leaves:
@@ -227,8 +259,13 @@ def canonical_code(t: Tree) -> bytes:
                         if deg[w] == 1:
                             nxt.append(w)
         leaves = nxt
-    if len(leaves) == 1:
+    if not 0 < len(leaves) == left:
+        raise ValueError(f"not a tree: {left - len(leaves)} of {n} vertices are left "
+                         "beside the center")
+    if left == 1:
         return b"(" + b"".join(sorted(child_codes[leaves[0]])) + b")"
+    if leaves[1] not in adjacency[leaves[0]]:
+        raise ValueError(f"not a tree: centers {leaves[0]} and {leaves[1]} are not adjacent")
     halves = [b"(" + b"".join(sorted(child_codes[c])) + b")" for c in leaves]
     return min(b"(" + b"".join(sorted(child_codes[c] + [half])) + b")"
                for c, half in zip(leaves, reversed(halves)))

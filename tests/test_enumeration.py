@@ -7,6 +7,7 @@ import pytest
 from conftest import all_free_trees, path_tree, star_tree
 
 import treedex
+import treedex.enumeration as enumeration
 from treedex import (
     FamilyConstraint,
     Tree,
@@ -122,6 +123,31 @@ class TestPruferOracle:
 
     def test_count_helper(self):
         assert free_tree_count_by_prufer(7) == 11
+
+    def test_count_codes_are_the_canonical_codes(self, monkeypatch):
+        # the count codes each decode from its adjacency lists, not from a Tree
+        seen = set()
+        peel = enumeration._peel_code
+
+        def recording(adjacency):
+            code = peel(adjacency)
+            seen.add(code)
+            return code
+
+        monkeypatch.setattr(enumeration, "_peel_code", recording)
+        for n in range(2, 8):
+            seen.clear()
+            assert free_tree_count_by_prufer(n) == len(seen)
+            assert seen == {canonical_code(t) for t in labeled_trees_prufer(n)}
+
+    def test_count_builds_no_tree(self, monkeypatch):
+        def no_tree(self):
+            raise AssertionError("the Prüfer count built a Tree")
+
+        monkeypatch.setattr(Tree, "__post_init__", no_tree)
+        assert free_tree_count_by_prufer(6) == FREE_TREE_COUNTS[6]
+        with pytest.raises(AssertionError):
+            next(labeled_trees_prufer(6))  # the public generator still validates
 
 
 class TestAddLeafOracle:

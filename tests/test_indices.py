@@ -132,13 +132,13 @@ class TestRegimes:
     def test_of_keeps_what_it_builds(self):
         assert Index.of(alpha=2) is Index.of(alpha=2.0)
         assert Index.of(a=0.5) is Index.of(a=0.5)
-        held = Index.of.cache_info().currsize
+        held = Index._of.cache_info().currsize
         for _ in range(2):  # a failure is never kept: it raises on every call
             with pytest.raises(ValueError, match="other than 0 and 1"):
                 Index.of(alpha=1)
             with pytest.raises(ValueError, match="a must be finite"):
                 Index.of(a=math.nan)
-        assert Index.of.cache_info().currsize == held
+        assert Index._of.cache_info().currsize == held
 
     @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
     def test_non_finite(self, bad):

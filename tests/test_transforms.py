@@ -1,5 +1,6 @@
 import pytest
-from conftest import double_broom, path_tree, spider, star_tree, trees_up_to
+from conftest import double_broom, path_tree, prufer_trees, spider, star_tree, trees_up_to
+from hypothesis import given
 
 from treedex import (
     TRANSFORMS,
@@ -25,6 +26,8 @@ from treedex.transforms import (
 
 ALPHAS = (-1.0, 2.0)
 AS = (0.5, 2.0)
+# The family parameter each move keeps.
+PRESERVED = {"p1": "n1", "p2": "n1", "b1": "b", "b3": "b", "b4": "b", "s1a": "k", "s1aa": "k"}
 
 
 def degmulti(t):
@@ -227,16 +230,33 @@ class TestMoveContracts:
                         sei(m.before, a) - sei(m.after, a),
                     ), (kind, t.edges, a)
 
+    @given(prufer_trees())
+    def test_contracts_on_random_trees(self, t):
+        # exact predicted delta and the kept family parameter, on up to 200 vertices
+        for kind, fn in TRANSFORMS.items():
+            try:
+                m = fn(t)
+            except ValueError:
+                continue
+            for alpha in ALPHAS:
+                assert values_close(predicted_delta(m, alpha=alpha),
+                                    r0_general(m.before, alpha) - r0_general(m.after, alpha)), kind
+            for a in AS:
+                assert values_close(predicted_delta(m, a=a),
+                                    sei(m.before, a) - sei(m.after, a)), kind
+            attr = PRESERVED[kind]
+            before = getattr(structural_profile(m.before), attr)
+            assert getattr(structural_profile(m.after), attr) == before, kind
+            assert getattr(structural_profile(t), attr) == before, kind
+
     def test_family_parameter_preserved(self):
-        preserved = {"p1": "n1", "p2": "n1", "b1": "b", "b3": "b", "b4": "b",
-                     "s1a": "k", "s1aa": "k"}
         for t in trees_up_to(12):
             for kind, fn in TRANSFORMS.items():
                 try:
                     m = fn(t)
                 except ValueError:
                     continue
-                attr = preserved[kind]
+                attr = PRESERVED[kind]
                 before = getattr(structural_profile(m.before), attr)
                 after = getattr(structural_profile(m.after), attr)
                 assert before == after, (kind, t.edges)

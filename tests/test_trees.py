@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from conftest import (
@@ -11,19 +16,24 @@ from conftest import (
     star_tree,
     trees_up_to,
 )
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import treedex
 from treedex import (
     DegreeSequence,
     Tree,
     canonical_code,
     parse_tree,
+    r0_general,
     realize_caterpillar,
     segment_decomposition,
+    sei,
     squeeze,
     structural_profile,
+    values_close,
 )
+from treedex.trees import _adjacency, _peel_code
 
 
 class TestParse:
@@ -77,6 +87,27 @@ class TestParse:
     def test_roundtrip_edge_text(self):
         t = spider(2, 2, 2)
         assert parse_tree(t.edge_text()) == t
+
+    @given(prufer_trees())
+    def test_roundtrip_edge_text_on_random_trees(self, t):
+        assert parse_tree(t.edge_text()) == t
+
+
+def _non_edge(t: Tree, rng: random.Random) -> tuple[int, int]:
+    """A pair of distinct vertices that are not adjacent (needs n >= 3)."""
+    u = rng.choice([v for v in range(t.n) if t.degrees[v] < t.n - 1])
+    return u, rng.choice([v for v in range(t.n) if v != u and v not in t.adjacency[u]])
+
+
+class TestRejection:
+    @given(prufer_trees(), st.randoms(use_true_random=False))
+    def test_one_edge_more_is_cyclic_and_one_less_disconnected(self, t, rng):
+        assume(t.n >= 3)
+        with pytest.raises(ValueError, match="cyclic"):
+            Tree(t.n, t.edges + (_non_edge(t, rng),))
+        dropped = rng.randrange(len(t.edges))
+        with pytest.raises(ValueError, match="disconnected"):
+            Tree(t.n, t.edges[:dropped] + t.edges[dropped + 1:])
 
 
 class TestTreeType:
@@ -205,6 +236,18 @@ class TestSqueeze:
             s = squeeze(t)
             assert structural_profile(s).k == len(s.edges)
 
+    @given(prufer_trees())
+    def test_identities_on_random_trees(self, t):
+        # squeezing drops the n2 degree-2 vertices and keeps every other degree
+        profile = structural_profile(t)
+        squeezed = squeeze(t)
+        assert squeezed.n == t.n - profile.n2
+        for alpha in (-1.0, 0.5, 2.0):
+            assert values_close(r0_general(t, alpha),
+                                r0_general(squeezed, alpha) + 2.0**alpha * profile.n2)
+        for a in (0.5, 2.0):
+            assert values_close(sei(t, a), sei(squeezed, a) + 2.0 * a * a * profile.n2)
+
 
 def _eccentricity(adj, v: int) -> int:
     seen, frontier, depth = {v}, [v], 0
@@ -280,6 +323,84 @@ class TestCanonicalCode:
         assert canonical_code(star_tree(4)) == b"(()()())"
         # hex serialization used in reports
         assert canonical_code(path_tree(2)).hex() == "28282929"
+
+
+def _multigraphs(n: int):
+    """Every multigraph with n - 1 edges on n vertices, loops and repeated
+    edges included, as a sorted edge tuple."""
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    return combinations_with_replacement(pairs, n - 1)
+
+
+# (n, edges) that are not trees: one per way the peel rejects them (an
+# edge count other than n - 1, no leaf left, a vertex left beside the
+# center, two non-adjacent centers), plus repeated edges beside a tree part.
+NON_TREES = (
+    (5, ((0, 1), (1, 2), (3, 4))),
+    (3, ((0, 1), (1, 2), (0, 2))),
+    (4, ((0, 1), (1, 2), (0, 2))),
+    (3, ((1, 1), (0, 2))),
+    (2, ((0, 0),)),
+    (2, ((1, 1),)),
+    (3, ((0, 1), (0, 1))),
+    (5, ((0, 1), (1, 2), (3, 4), (3, 4))),
+)
+
+
+class TestPeelCheck:
+    """The leaf peel behind canonical_code codes adjacency lists that no
+    Tree validated, so it is the one check on the decoders' trees."""
+
+    def test_accepts_exactly_the_trees(self):
+        graphs = accepted = 0
+        for n in range(2, 6):
+            for edges in _multigraphs(n):
+                graphs += 1
+                adjacency = _adjacency(n, edges)
+                try:
+                    t = Tree(n, edges)
+                except ValueError:
+                    with pytest.raises(ValueError, match="not a tree"):
+                        _peel_code(adjacency)
+                    continue
+                accepted += 1
+                assert _peel_code(adjacency) == canonical_code(t)
+        assert graphs == 3304
+        assert accepted == sum(n ** (n - 2) for n in range(2, 6))  # Cayley
+
+    @given(prufer_trees(), st.randoms(use_true_random=False))
+    def test_agrees_with_tree_after_an_edge_swap(self, t, rng):
+        # one edge traded for a non-edge: still n - 1 edges, a tree or not
+        assume(t.n >= 3)
+        dropped = rng.randrange(len(t.edges))
+        edges = t.edges[:dropped] + t.edges[dropped + 1:] + (_non_edge(t, rng),)
+        try:
+            swapped = Tree(t.n, edges)
+        except ValueError:
+            with pytest.raises(ValueError, match="not a tree"):
+                _peel_code(_adjacency(t.n, edges))
+        else:
+            assert _peel_code(_adjacency(t.n, edges)) == canonical_code(swapped)
+
+    @pytest.mark.parametrize("n, edges", NON_TREES)
+    def test_non_trees(self, n, edges):
+        with pytest.raises(ValueError, match="not a tree"):
+            _peel_code(_adjacency(n, edges))
+
+    def test_non_trees_under_optimisation(self):
+        script = (
+            "from treedex.trees import _adjacency, _peel_code\n"
+            f"for n, edges in {NON_TREES!r}:\n"
+            "    try:\n"
+            "        _peel_code(_adjacency(n, edges))\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'accepted {edges}')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(treedex.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestDegreeSequence:

@@ -29,6 +29,8 @@ from treedex import (
     theorem_bound,
     values_close,
 )
+from treedex.bounds import THEOREM_NAMES
+from treedex.cli import main
 from treedex.enumeration import _degree_sequences
 from treedex.verify import _census, _values, _witnesses
 
@@ -121,11 +123,35 @@ class TestPartitionEngine:
         # verify checks a theorem_bound per cell; after the first cell at a
         # grid value, every later call gets the held Index back
         check_theorem("star", range(6, 8))
-        misses = Index.of.cache_info().misses
+        misses = Index._of.cache_info().misses
         for index in verify._grid(DEFAULT_ALPHA_GRID, DEFAULT_A_GRID):
             theorem_bound("star", 9, **index.keyword)
         check_theorem("pt-spider", range(6, 9))
-        assert Index.of.cache_info().misses == misses
+        assert Index._of.cache_info().misses == misses
+
+    def test_one_index_per_grid_value(self):
+        # _grid writes Index.of(alpha=x), theorem_bound Index.of(alpha=x, a=None):
+        # both get the one Index held for (kind, x)
+        Index._of.cache_clear()
+        check_theorem("pt-spider", range(6, 15))
+        assert Index._of.cache_info().misses == len(DEFAULT_ALPHA_GRID) + len(DEFAULT_A_GRID) == 12
+
+    def test_report_witnesses_build_no_tree(self, monkeypatch, tmp_path):
+        # every witness is coded and written from its level sequence's
+        # adjacency lists; the bytes are those of the Tree-built reference
+        reference = {n: eager_witnesses(n) for n in range(6, 10)}
+        expected = [[text for ds in r.optimal_degseqs for text in reference[r.n][ds]]
+                    for theorem in THEOREM_NAMES for r in check_theorem(theorem, range(6, 10))]
+
+        def no_tree(self):
+            raise AssertionError("a witness tree was built")
+
+        monkeypatch.setattr(Tree, "__post_init__", no_tree)
+        _witnesses.cache_clear()
+        report = tmp_path / "report.json"
+        assert main(["verify", "--theorems", "all", "--n", "6..9", "--report", str(report)]) == 0
+        cells = json.loads(report.read_text(encoding="utf-8"))
+        assert [cell["witnesses"] for cell in cells] == expected
 
     def test_lazy_witnesses_of_a_refuted_cell(self):
         reports = check_theorem("pt-spider", range(8, 9), alpha_grid=(), a_grid=(0.5,))
