@@ -205,7 +205,7 @@ def _cmd_verify(args) -> int:
         theorems = [t.strip() for t in args.theorems.split(",")]
         unknown = [t for t in theorems if t not in THEOREM_NAMES]
         if unknown:
-            raise _UsageError(f"unknown theorems: {', '.join(unknown)}")
+            raise _UsageError(f"unknown theorems: {', '.join(map(repr, unknown))}")
     n_range = _parse_range(args.n)
     kwargs = {}
     if args.alpha_grid is not None:

@@ -15,7 +15,9 @@ it. No tree is built for a verdict. A cell's witnesses, every tree of
 every optimal sequence, come from the level-sequence census only when
 the cell is written out (--report, --csv, --json), once per class: each
 member is coded and written from the adjacency lists its level sequence
-decodes to, and no Tree object is built.
+decodes to, and no Tree object is built. The writers turn each distinct
+winners tuple's witnesses into JSON and CSV text once and build every
+cell that shares the tuple from that text.
 
 All outputs are deterministic: identical inputs produce byte-identical
 JSON and CSV documents (no timestamps or wall-clock data inside).
@@ -23,8 +25,6 @@ JSON and CSV documents (no timestamps or wall-clock data inside).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -146,7 +146,8 @@ class TheoremReport:
         """Every tree of every optimal degree sequence, built on first read."""
         return tuple(text for ds in self.optimal_degseqs for text in _witnesses(ds))
 
-    def to_json_dict(self) -> dict:
+    def scalar_fields(self) -> dict:
+        """The report schema without its witnesses, in CSV_COLUMNS order."""
         return {
             "theorem": self.theorem,
             "n": self.n,
@@ -157,8 +158,11 @@ class TheoremReport:
             "bound": self.bound,
             "oracle": self.oracle,
             "verdict": self.verdict,
-            "witnesses": list(self.witness_edge_texts),
         }
+
+    def to_json_dict(self) -> dict:
+        """The report schema: the scalar fields, then the witnesses."""
+        return {**self.scalar_fields(), "witnesses": list(self.witness_edge_texts)}
 
 
 def _check_cell(theorem: str, n: int, param: int | None, index: Index) -> TheoremReport | None:
@@ -345,9 +349,34 @@ def full_report(n_max: int = 14, alpha_grid=DEFAULT_ALPHA_GRID, a_grid=DEFAULT_A
     }
 
 
+@lru_cache(maxsize=None)
+def _json_witnesses(winners: tuple[DegreeSequence, ...]) -> str:
+    """A cell's witnesses list as json.dumps(indent=2) writes it in a report."""
+    items = ",\n      ".join(json.dumps(text) for ds in winners for text in _witnesses(ds))
+    return f"[\n      {items}\n    ]"
+
+
+@lru_cache(maxsize=None)
+def _csv_witnesses(winners: tuple[DegreeSequence, ...]) -> str:
+    """A cell's witnesses CSV field: ';' between edges, '|' between trees."""
+    return "|".join(text.replace("\n", ";") for ds in winners for text in _witnesses(ds))
+
+
 def reports_to_json(reports) -> str:
-    """JSON array of cell objects (the report schema)."""
-    return json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
+    """JSON array of cell objects (the report schema), the bytes of
+    json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n".
+
+    json.dumps writes the scalar fields once, with every witnesses list
+    empty; each empty list is then replaced by the cell's list, encoded
+    once per winners tuple.
+    """
+    head, *tails = json.dumps([{**r.scalar_fields(), "witnesses": []} for r in reports],
+                              indent=2).split('"witnesses": []')
+    parts = [head]
+    for r, tail in zip(reports, tails, strict=True):
+        parts += ('"witnesses": ', _json_witnesses(r.optimal_degseqs), tail)
+    parts.append("\n")
+    return "".join(parts)
 
 
 CSV_COLUMNS = ("theorem", "n", "param", "index", "index_param", "direction",
@@ -355,16 +384,18 @@ CSV_COLUMNS = ("theorem", "n", "param", "index", "index_param", "direction",
 
 
 def reports_to_csv(reports) -> str:
-    """CSV flattening of the JSON schema, in CSV_COLUMNS order: csv
-    writes floats as their repr and a None param as an empty field.
+    """CSV flattening of the JSON schema, in CSV_COLUMNS order, with the
+    bytes csv.writer(lineterminator="\n") writes: a None param is an
+    empty field, numbers are their str (a float's repr), and witness edge
+    lists use ';' between edges and '|' between witnesses.
 
-    Witness edge lists use ';' between edges and '|' between witnesses.
+    No field ever needs quoting, so each row is joined directly: theorem,
+    index, direction and verdict names come from fixed tables, numbers
+    hold no ',', '"' or line break, and witnesses hold only digits,
+    spaces, ';' and '|'.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    parts = [",".join(CSV_COLUMNS), "\n"]
     for r in reports:
-        row = r.to_json_dict()
-        row["witnesses"] = "|".join(text.replace("\n", ";") for text in row["witnesses"])
-        writer.writerow(row[column] for column in CSV_COLUMNS)
-    return buf.getvalue()
+        scalars = ("" if v is None else str(v) for v in r.scalar_fields().values())
+        parts += (",".join(scalars), ",", _csv_witnesses(r.optimal_degseqs), "\n")
+    return "".join(parts)

@@ -1,6 +1,7 @@
 """Shared trees, random-tree strategy and hypothesis settings of the test suite."""
 
 import os
+import random
 from functools import lru_cache
 from pathlib import Path
 
@@ -80,7 +81,11 @@ def is_caterpillar(t: Tree) -> bool:
 
 @st.composite
 def prufer_trees(draw, max_n: int = 200) -> Tree:
-    """Random labelled tree on 2..max_n vertices, decoded from a Prüfer sequence."""
+    """Random labelled tree on 2..max_n vertices, decoded from a Prüfer sequence.
+
+    n is drawn, so it shrinks; the sequence comes from one drawn seed,
+    since drawing its up to 198 entries one by one costs ~10 ms an example.
+    """
     n = draw(st.integers(2, max_n))
-    seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
-    return Tree(n, _prufer_edges(tuple(seq), n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return Tree(n, _prufer_edges(tuple(rng.randrange(n) for _ in range(n - 2)), n))

@@ -295,6 +295,17 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "--theorems", "pt-spider,zz", "--n", "6..7")
         assert code == 1
 
+    @pytest.mark.parametrize("theorems, named", [
+        ("pt-spider,zz", "'zz'"),
+        ("pt-spider,", "''"),  # a blank entry is named too, not left out
+        ("zz,,star", "'zz', ''"),
+        (" ", "''"),
+    ])
+    def test_unknown_theorems_named(self, capsys, theorems, named):
+        code, out, err = run(capsys, "verify", "--theorems", theorems, "--n", "6..7")
+        assert code == 1 and out == ""
+        assert err == f"treedex: error: unknown theorems: {named}\n"
+
     @pytest.mark.parametrize("grid", ("--alpha-grid", "--a-grid"))
     @pytest.mark.parametrize("bad", ("nan", "inf", "-inf", OVERFLOWING))
     def test_non_finite_grid_validation_error(self, capsys, grid, bad):

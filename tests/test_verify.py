@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import sys
 from collections import Counter
@@ -32,7 +34,14 @@ from treedex import (
 from treedex.bounds import THEOREM_NAMES
 from treedex.cli import main
 from treedex.enumeration import _degree_sequences
-from treedex.verify import _census, _values, _witnesses
+from treedex.verify import (
+    CSV_COLUMNS,
+    _census,
+    _csv_witnesses,
+    _json_witnesses,
+    _values,
+    _witnesses,
+)
 
 ALPHAS = (-1.0, 0.5, 2.0)
 
@@ -147,7 +156,8 @@ class TestPartitionEngine:
             raise AssertionError("a witness tree was built")
 
         monkeypatch.setattr(Tree, "__post_init__", no_tree)
-        _witnesses.cache_clear()
+        for cache in (_witnesses, _json_witnesses):
+            cache.cache_clear()
         report = tmp_path / "report.json"
         assert main(["verify", "--theorems", "all", "--n", "6..9", "--report", str(report)]) == 0
         cells = json.loads(report.read_text(encoding="utf-8"))
@@ -313,6 +323,64 @@ class TestReports:
         first = reports_to_json(check_theorem("bt-big", range(6, 9)))
         second = reports_to_json(check_theorem("bt-big", range(6, 9)))
         assert first == second
+
+
+def csv_reference(reports):
+    """The CSV document as csv.writer writes it from the report schema."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for r in reports:
+        row = r.to_json_dict()
+        row["witnesses"] = "|".join(text.replace("\n", ";") for text in row["witnesses"])
+        writer.writerow(row[column] for column in CSV_COLUMNS)
+    return buf.getvalue()
+
+
+def all_theorems(n_range, **grids):
+    return [r for theorem in THEOREM_NAMES for r in check_theorem(theorem, n_range, **grids)]
+
+
+WRITER_CASES = {
+    "empty": lambda: [],
+    # the multi-class a = 0.6 ties and REFUTED cells
+    "default-6..11": lambda: all_theorems(range(6, 12)),
+    # the off-default grid of test_cli's golden bytes
+    "off-grid-6..12": lambda: all_theorems(range(6, 13), alpha_grid=(-2.5, -0.3, 0.25, 0.75, 1.5, 4.0),
+                                           a_grid=(0.1, 0.35, 0.45, 0.8, 1.2, 3.0)),
+}
+
+
+class TestWriters:
+    """reports_to_json and reports_to_csv against the schema's one encoding."""
+
+    @pytest.mark.parametrize("case", WRITER_CASES)
+    def test_writers_equal_their_references(self, case):
+        reports = WRITER_CASES[case]()
+        if case == "default-6..11":
+            assert any(len(r.optimal_degseqs) > 1 for r in reports)
+            assert {r.verdict for r in reports} == {CONFIRMED, REFUTED}
+        _json_witnesses.cache_clear()
+        _csv_witnesses.cache_clear()
+        document, table = reports_to_json(reports), reports_to_csv(reports)
+        assert reports_to_json(reports) == document and reports_to_csv(reports) == table
+        # neither writer builds a cell's own witness tuple
+        assert not any("witness_edge_texts" in vars(r) for r in reports)
+        # each winners tuple is encoded once per format
+        winners = len({r.optimal_degseqs for r in reports})
+        assert _json_witnesses.cache_info().misses == _csv_witnesses.cache_info().misses == winners
+
+        assert document == json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
+        assert table == csv_reference(reports)
+        rows = list(csv.reader(io.StringIO(table)))
+        assert rows[0] == list(CSV_COLUMNS) and len(rows) == 1 + len(reports)
+        parse = (str, int, lambda text: int(text) if text else None, str, float, str, float,
+                 float, str)
+        for (*scalars, witnesses), r in zip(rows[1:], reports):
+            assert [read(text) for read, text in zip(parse, scalars, strict=True)] == list(
+                r.scalar_fields().values())
+            assert [text.replace(";", "\n") for text in witnesses.split("|")] == list(
+                r.witness_edge_texts)
 
 
 class TestFullReport:
