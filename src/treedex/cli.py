@@ -42,9 +42,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value: float) -> str:
+    """An integer when the value is within 1e-9 relative of a non-zero one
+    that a float holds exactly (below 2**53), otherwise its repr."""
     rounded = round(value)
-    if abs(value - rounded) < 1e-9 * max(1.0, abs(value)):
-        return str(int(rounded))
+    if 0 < abs(rounded) < 2**53 and abs(value - rounded) < 1e-9 * abs(value):
+        return str(rounded)
     return repr(value)
 
 

@@ -59,9 +59,10 @@ def _split_levels(layout: list[int]) -> tuple[list[int], list[int]]:
     return left, rest
 
 
-def _next_free_canonical(candidate: list[int]) -> list[int] | None:
+def _next_free_canonical(candidate: list[int]) -> list[int]:
     # Return the candidate if it canonically represents a free tree,
-    # otherwise jump directly to the next sequence that does.
+    # otherwise jump directly to the next sequence that does; the jump
+    # pivots at len(left) >= 1, so _next_rooted never ends the walk here.
     left, rest = _split_levels(candidate)
     left_h, rest_h = max(left), max(rest)
     if rest_h > left_h:
@@ -72,7 +73,7 @@ def _next_free_canonical(candidate: list[int]) -> list[int] | None:
         return candidate
     p = len(left)
     successor = _next_rooted(candidate, p)
-    if successor is not None and candidate[p] > 2:
+    if candidate[p] > 2:
         new_left, _ = _split_levels(successor)
         suffix = range(1, max(new_left) + 2)
         successor[-len(suffix):] = suffix
@@ -157,8 +158,6 @@ def _level_sequences(n: int):
     layout: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while layout is not None:
         layout = _next_free_canonical(layout)
-        if layout is None:
-            return
         yield layout
         layout = _next_rooted(layout)
 
@@ -187,25 +186,18 @@ def family_members(c: FamilyConstraint):
 
 
 def _prufer_edges(seq: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:
+    # Each entry joins the smallest remaining leaf; the last edge joins
+    # the two vertices left, one of which is always n - 1.
     deg = [1] * n
     for x in seq:
         deg[x] += 1
     edges = []
-    ptr = 0
-    while deg[ptr] != 1:
-        ptr += 1
-    leaf = ptr
     for v in seq:
+        leaf = deg.index(1)
         edges.append((leaf, v))
+        deg[leaf] = 0
         deg[v] -= 1
-        if deg[v] == 1 and v < ptr:
-            leaf = v
-        else:
-            ptr += 1
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    edges.append((leaf, n - 1))
+    edges.append((deg.index(1), n - 1))
     return tuple(edges)
 
 

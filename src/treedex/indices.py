@@ -35,13 +35,15 @@ ABS_TOL = 1e-12
 
 
 def values_close(x: float, y: float) -> bool:
-    """Relative 1e-9 comparison with absolute floor 1e-12.
+    """Relative 1e-9 comparison with absolute floor 1e-12:
+    abs(x - y) <= max(REL_TOL * max(abs(x), abs(y)), ABS_TOL) for finite
+    x and y.
 
-    The same as abs(x - y) <= max(REL_TOL * max(abs(x), abs(y)), ABS_TOL),
-    unrolled because the verdict scan calls it once per family member.
+    math.isclose, so an infinity is close only to itself; no infinity
+    reaches it here, because the index sums and closed forms raise
+    OverflowError first.
     """
-    diff = abs(x - y)
-    return diff <= ABS_TOL or diff <= REL_TOL * abs(x) or diff <= REL_TOL * abs(y)
+    return math.isclose(x, y, rel_tol=REL_TOL, abs_tol=ABS_TOL)
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ memo that a sequence enters the first time a scanned family contains
 it. No tree is built for a verdict. A cell's witnesses, every tree of
 every optimal sequence, come from the level-sequence census only when
 the cell is written out (--report, --csv, --json), once per class: each
-member is coded and written from the adjacency lists its level sequence
-decodes to, and no Tree object is built. The writers turn each distinct
-winners tuple's witnesses into JSON and CSV text once and build every
-cell that shares the tuple from that text.
+member's sorted edge list is read off its level sequence, written, and
+coded from its adjacency lists, and no Tree object is built. The
+writers turn each distinct winners tuple's witnesses into JSON and CSV
+text once and build every cell that shares the tuple from that text.
 
 All outputs are deterministic: identical inputs produce byte-identical
 JSON and CSV documents (no timestamps or wall-clock data inside).
@@ -41,7 +41,7 @@ from .bounds import (
 )
 from .enumeration import _family, _level_degrees, _level_parents, _level_sequences, free_trees
 from .indices import ABS_TOL, REL_TOL, WINDOW_LOW_A, Index, values_close
-from .trees import DegreeSequence, _edge_text, _peel_code, canonical_code
+from .trees import DegreeSequence, _adjacency, _edge_text, _peel_code, canonical_code
 from .transforms import TRANSFORMS, claimed_sign
 
 CONFIRMED = "CONFIRMED"
@@ -73,21 +73,14 @@ def _census(n: int) -> dict[tuple[int, ...], tuple[bytes, ...]]:
 def _witnesses(ds: DegreeSequence) -> tuple[str, ...]:
     """Edge texts of a census class, in canonical code order.
 
-    Each member's neighbour lists come from its level sequence's parent
-    array: the parent, then the children in ascending order. Read in
-    vertex order, the neighbours above each vertex are then the sorted
-    edge list that Tree.edge_text writes, and the leaf peel codes the
-    lists, so no Tree is built.
+    Each member's (parent, child) edges, sorted, are the edge list that
+    Tree.edge_text writes (a parent precedes its children); the leaf
+    peel codes their adjacency lists, so no Tree is built.
     """
     coded = []
     for levels in _census(len(ds))[ds]:
-        parents = _level_parents(levels)
-        adjacency = [[p] for p in parents]
-        adjacency[0] = []
-        for v in range(1, len(parents)):
-            adjacency[parents[v]].append(v)
-        edges = [(v, w) for v, nbrs in enumerate(adjacency) for w in nbrs if w > v]
-        coded.append((_peel_code(adjacency), _edge_text(edges)))
+        edges = sorted((p, v) for v, p in enumerate(_level_parents(levels)) if v)
+        coded.append((_peel_code(_adjacency(len(levels), edges)), _edge_text(edges)))
     coded.sort()  # codes within a class are distinct, so texts are never compared
     return tuple(text for _, text in coded)
 

@@ -58,6 +58,21 @@ class TestIndexCommand:
         code, out, _ = run(capsys, "index", "--input", "-", "--alpha", "2")
         assert code == 0 and out.strip() == "30"
 
+    def test_tiny_value_is_not_printed_as_zero(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n"))
+        code, out, _ = run(capsys, "index", "--input", "-", "--a", "1e-10")
+        assert code == 0 and out == "2e-10\n"
+
+    def test_negative_vertex_validation_error(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 -1\n"))
+        code, out, err = run(capsys, "index", "--input", "-", "--alpha", "2")
+        assert code == 2 and out == ""
+        assert "line 1: negative vertex id" in err
+
     def test_both_params_usage_error(self, capsys, p6):
         code, _, _ = run(capsys, "index", "--input", p6, "--alpha", "2", "--a", "2")
         assert code == 1
@@ -127,6 +142,17 @@ class TestBoundCommand:
                            "--n1", "3", "--a", "2")
         assert code == 0
         assert "unclaimed" in out
+
+    @pytest.mark.parametrize("n, alpha", [
+        ("10", "300"),  # 9**300 + 9, far above 2**53: a float's integer digits are not exact
+        ("6", "0.5"),  # sqrt(5) + 5
+    ])
+    def test_non_integer_text_is_the_json_repr(self, capsys, n, alpha):
+        argv = ("bound", "--theorem", "star", "--n", n, "--alpha", alpha)
+        code, out, _ = run(capsys, *argv)
+        _, json_out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert out.split("\n")[0] == repr(json.loads(json_out)["value"])
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "bound", "--theorem", "st-parity", "--n", "9",

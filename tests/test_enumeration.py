@@ -1,6 +1,9 @@
+import heapq
 import os
+import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -98,10 +101,42 @@ class TestLevelSequences:
         assert proc.returncode == 0, proc.stderr
 
 
+def heap_prufer_edges(seq, n):
+    """Reference decode: a heap of the current leaves; each entry joins the
+    smallest, and the last two leaves are joined at the end."""
+    deg = [1] * n
+    for x in seq:
+        deg[x] += 1
+    leaves = [v for v in range(n) if deg[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        edges.append((heapq.heappop(leaves), v))
+        deg[v] -= 1
+        if deg[v] == 1:
+            heapq.heappush(leaves, v)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return tuple(edges)
+
+
 class TestPruferOracle:
     def test_decode_basics(self):
         assert _prufer_edges((0,), 3) == ((1, 0), (0, 2))
         assert set(_prufer_edges((0, 0), 4)) == {(1, 0), (2, 0), (0, 3)}
+
+    def test_decode_matches_heap_reference(self):
+        for n in range(2, 8):
+            for seq in product(range(n), repeat=n - 2):
+                assert _prufer_edges(seq, n) == heap_prufer_edges(seq, n), seq
+        rng = random.Random(20171)
+        for _ in range(300):
+            n = rng.randrange(2, 201)
+            seq = tuple(rng.randrange(n) for _ in range(n - 2))
+            assert _prufer_edges(seq, n) == heap_prufer_edges(seq, n), seq
+
+    def test_too_small(self):
+        with pytest.raises(ValueError, match="labeled trees require n >= 2"):
+            next(labeled_trees_prufer(1))
 
     def test_labeled_counts(self):
         # Cayley: n^(n-2) labeled trees

@@ -5,6 +5,8 @@ import pytest
 from conftest import path_tree, spider, star_tree, trees_up_to
 
 from treedex import (
+    ABS_TOL,
+    REL_TOL,
     WINDOW_LOW_A,
     Index,
     Tree,
@@ -99,6 +101,52 @@ class TestDegreeSequenceForms:
             other = Tree(t.n, tuple((perm[u], perm[v]) for u, v in t.edges))
             assert values_close(r0_general(t, -0.5), r0_general(other, -0.5))
             assert values_close(sei(t, 0.9), sei(other, 0.9))
+
+
+def tolerance_formula(x, y):
+    return abs(x - y) <= max(REL_TOL * max(abs(x), abs(y)), ABS_TOL)
+
+
+class TestValuesClose:
+    """The contract: abs(x - y) <= max(REL_TOL * max(|x|, |y|), ABS_TOL)."""
+
+    # (x, y) exactly at the tolerance in floats: 1e9 - (1e9 - 1) == 1.0 ==
+    # REL_TOL * 1e9, 2**-10 == REL_TOL * 976562.5, and 1e-12 == ABS_TOL.
+    AT_TOLERANCE = ((1e9, 1e9 - 1), (976562.5, 976562.5 - 2.0**-10), (0.0, ABS_TOL),
+                    (-ABS_TOL / 2, ABS_TOL / 2), (-1e9, 1 - 1e9))
+
+    @pytest.mark.parametrize("x, y", AT_TOLERANCE)
+    def test_at_and_beyond_the_tolerance(self, x, y):
+        assert abs(x - y) == max(REL_TOL * max(abs(x), abs(y)), ABS_TOL)
+        beyond = math.nextafter(y, math.copysign(math.inf, y - x))
+        for a, b, close in ((x, y, True), (x, beyond, False)):
+            assert values_close(a, b) is values_close(b, a) is close
+
+    def test_near_zero_uses_the_absolute_floor(self):
+        assert values_close(1e-13, -1e-13)
+        assert values_close(0.0, 5e-13)
+        assert not values_close(0.0, 2e-12)
+        assert not values_close(1e-12, 3e-12)  # far apart relative to either
+
+    @pytest.mark.parametrize("x", (0.0, -0.0, 5e-324, 1e-300, 3.5, -7.25, 1e308))
+    def test_equal_values(self, x):
+        assert values_close(x, x)
+
+    def test_matches_the_formula_around_the_tolerance(self):
+        rng = random.Random(2017)
+        outcomes = set()
+        for _ in range(2000):
+            x = rng.uniform(-1, 1) * 10.0 ** rng.randrange(-15, 15)
+            y = x + (x or 1e-12) * rng.uniform(-3e-9, 3e-9)
+            close = tolerance_formula(x, y)
+            assert values_close(x, y) is values_close(y, x) is close
+            outcomes.add(close)
+        assert outcomes == {True, False}
+
+    def test_infinity_is_close_only_to_itself(self):
+        assert values_close(math.inf, math.inf)
+        assert not values_close(math.inf, -math.inf)
+        assert not values_close(math.inf, 1e308)
 
 
 class TestRegimes:

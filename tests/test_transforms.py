@@ -308,3 +308,7 @@ class TestClaimedSigns:
         assert claimed_sign("s1a", alpha=3) == +1
         assert claimed_sign("s1aa", a=0.6) == -1
         assert claimed_sign("s1aa", a=0.3) is None
+
+    def test_unknown_transform(self):
+        with pytest.raises(ValueError, match="unknown transform 'zz'"):
+            claimed_sign("zz", alpha=2)
