@@ -29,7 +29,7 @@ from .enumeration import family_members, free_trees
 from .indices import Index
 from .trees import parse_tree, squeeze
 from .transforms import TRANSFORMS, predicted_delta
-from .verify import check_theorem, reports_to_csv, reports_to_json
+from .verify import build_witnesses, check_theorem, reports_to_csv, reports_to_json
 
 
 class _UsageError(Exception):
@@ -195,9 +195,13 @@ def _parse_range(text: str) -> range:
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(x) for x in text.split(","))
+        grid = tuple(float(x) for x in text.split(","))
     except ValueError:
         raise _UsageError(f"bad grid {text!r}, expected comma-separated reals") from None
+    for i, x in enumerate(grid):
+        if x in grid[:i]:  # its cells would be checked and written twice
+            raise _UsageError(f"bad grid {text!r}: repeated value {x!r}")
+    return grid
 
 
 def _cmd_verify(args) -> int:
@@ -218,7 +222,13 @@ def _cmd_verify(args) -> int:
     reports = []
     for theorem in theorems:
         reports.extend(check_theorem(theorem, n_range, **kwargs))
-    elapsed = time.perf_counter() - started
+    timing = f"verify: {len(reports)} cells in {time.perf_counter() - started:.1f}s"
+    written = args.report or args.csv or args.json
+    if written:
+        started = time.perf_counter()
+        build_witnesses(reports)
+        timing += f", witnesses in {time.perf_counter() - started:.1f}s"
+        started = time.perf_counter()
     doc = reports_to_json(reports) if args.report or args.json else ""
     if args.report:
         Path(args.report).write_text(doc, encoding="utf-8")
@@ -227,6 +237,8 @@ def _cmd_verify(args) -> int:
     del doc  # not held while the CSV is built: it would add to peak memory
     if args.csv:
         Path(args.csv).write_text(reports_to_csv(reports), encoding="utf-8")
+    if written:
+        timing += f", output in {time.perf_counter() - started:.1f}s"
     if not args.json:
         for r in reports:
             param = "-" if r.param is None else r.param
@@ -238,7 +250,7 @@ def _cmd_verify(args) -> int:
             )
         confirmed = sum(1 for r in reports if r.verdict == "CONFIRMED")
         print(f"cells: {len(reports)}  confirmed: {confirmed}  refuted: {len(reports) - confirmed}")
-    print(f"verify: {len(reports)} cells in {elapsed:.1f}s", file=sys.stderr)
+    print(timing, file=sys.stderr)
     return 0
 
 

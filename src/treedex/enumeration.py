@@ -7,8 +7,9 @@ filtering) any sequence that is not the canonical rooting of its free
 tree. One representative per isomorphism class is produced in a fixed
 order, path first, star last, with no dedup set. The same walk yields
 the bare level sequences to the verify census, which groups them by
-the degrees read off them and builds trees only for the witnesses it
-writes out.
+the degrees read off them; the witnesses it writes out are ordered by
+those centre-rooted sequences and read off them, never built as trees
+or coded.
 
 Every non-increasing positive n-tuple summing to 2(n - 1) is the degree
 sequence of some tree, so a family is a filter over the partitions of

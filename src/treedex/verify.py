@@ -13,11 +13,13 @@ read off one index value per degree sequence: each (n, index) keeps a
 memo that a sequence enters the first time a scanned family contains
 it. No tree is built for a verdict. A cell's witnesses, every tree of
 every optimal sequence, come from the level-sequence census only when
-the cell is written out (--report, --csv, --json), once per class: each
-member's sorted edge list is read off its level sequence, written, and
-coded from its adjacency lists, and no Tree object is built. The
-writers turn each distinct winners tuple's witnesses into JSON and CSV
-text once and build every cell that shares the tuple from that text.
+the cell is written out (--report, --csv, --json), once per class. The
+members are put in canonical code order by a key read off their
+centre-rooted level sequences, so no witness is coded, and each
+member's edge list is read off its level sequence; no Tree object is
+built. The writers turn each distinct winners tuple's witnesses into
+JSON and CSV text once and build every cell that shares the tuple from
+that text.
 
 All outputs are deterministic: identical inputs produce byte-identical
 JSON and CSV documents (no timestamps or wall-clock data inside).
@@ -39,9 +41,16 @@ from .bounds import (
     family_params,
     theorem_bound,
 )
-from .enumeration import _family, _level_degrees, _level_parents, _level_sequences, free_trees
+from .enumeration import (
+    DEFAULT_MAX_N,
+    _family,
+    _level_degrees,
+    _level_parents,
+    _level_sequences,
+    free_trees,
+)
 from .indices import ABS_TOL, REL_TOL, WINDOW_LOW_A, Index, values_close
-from .trees import DegreeSequence, _adjacency, _edge_text, _peel_code, canonical_code
+from .trees import DegreeSequence, _edge_text, canonical_code
 from .transforms import TRANSFORMS, claimed_sign
 
 CONFIRMED = "CONFIRMED"
@@ -69,20 +78,56 @@ def _census(n: int) -> dict[tuple[int, ...], tuple[bytes, ...]]:
     return {degrees: tuple(classes[degrees]) for degrees in sorted(classes)}
 
 
+def _rank_key(levels: bytes) -> bytes:
+    """Sort key of a census tree: witnesses take descending key order,
+    which is ascending canonical_code order.
+
+    The key is the larger of the level sequences rooted at each centre.
+    The census roots a tree at a centre, with the root's subtrees in
+    descending order, so a unicentral tree's key is its level sequence.
+    A tree is bicentral when the root's first subtree, which ends at m,
+    is as deep as the rest; its second centre is vertex 1, and `other`
+    roots the tree there. A larger level sequence has a smaller code,
+    since a deeper subtree opens with more '(' where the code sorts '('
+    before ')'; tests/test_verify.py checks this on every tree to n = 15.
+    """
+    m = levels.find(1, 2)
+    if m < 0:  # the root has one child: n = 2
+        m = len(levels)
+    if max(levels[m:], default=0) != max(levels[1:m]) - 1:
+        return levels
+    other = bytes([0, 1, *(lev + 1 for lev in levels[m:]), *(lev - 1 for lev in levels[2:m])])
+    return max(levels, other)
+
+
+# "p v" edge line of each vertex pair below the order cap
+_EDGE_LINES = tuple(tuple(_edge_text([(p, v)]) for v in range(DEFAULT_MAX_N))
+                    for p in range(DEFAULT_MAX_N))
+
+
 @lru_cache(maxsize=None)
 def _witnesses(ds: DegreeSequence) -> tuple[str, ...]:
     """Edge texts of a census class, in canonical code order.
 
-    Each member's (parent, child) edges, sorted, are the edge list that
-    Tree.edge_text writes (a parent precedes its children); the leaf
-    peel codes their adjacency lists, so no Tree is built.
+    Members are ordered by `_rank_key`, so none is coded. A member's
+    edges are its (parent, child) pairs in ascending order, the edge
+    list Tree.edge_text writes (a parent precedes its children): a
+    stable sort of the children by parent, each edge's line read from
+    a table. No Tree is built.
     """
-    coded = []
-    for levels in _census(len(ds))[ds]:
-        edges = sorted((p, v) for v, p in enumerate(_level_parents(levels)) if v)
-        coded.append((_peel_code(_adjacency(len(levels), edges)), _edge_text(edges)))
-    coded.sort()  # codes within a class are distinct, so texts are never compared
-    return tuple(text for _, text in coded)
+    texts = []
+    for levels in sorted(_census(len(ds))[ds], key=_rank_key, reverse=True):
+        parents = _level_parents(levels)
+        children = sorted(range(1, len(parents)), key=parents.__getitem__)
+        texts.append("\n".join([_EDGE_LINES[parents[v]][v] for v in children]))
+    return tuple(texts)
+
+
+def build_witnesses(reports) -> None:
+    """Build the witnesses of every class that wins a cell of the
+    reports, so that writing them out only encodes text."""
+    for ds in dict.fromkeys(ds for r in reports for ds in r.optimal_degseqs):
+        _witnesses(ds)
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -285,7 +286,10 @@ class TestVerifyCommand:
         assert all(c["verdict"] == "CONFIRMED" for c in doc)
         assert csv_file.read_text().startswith("theorem,n,param,")
         assert "CONFIRMED" in out and "cells: 6" in out
-        assert "cells in" in err  # timing goes to stderr only
+        # timing goes to stderr only, with the witness and output time
+        # when cells are written out
+        assert re.fullmatch(r"verify: 6 cells in \d+\.\ds, witnesses in \d+\.\ds, "
+                            r"output in \d+\.\ds\n", err)
 
     def test_report_and_json_agree(self, capsys, tmp_path):
         report = tmp_path / "out.json"
@@ -333,6 +337,16 @@ class TestVerifyCommand:
         assert err == f"treedex: error: unknown theorems: {named}\n"
 
     @pytest.mark.parametrize("grid", ("--alpha-grid", "--a-grid"))
+    def test_repeated_grid_value_usage_error(self, capsys, tmp_path, grid):
+        # 2 and 2.0 are one value, whose cells would be checked and written twice
+        report = tmp_path / "R"
+        code, out, err = run(capsys, "verify", "--theorems", "all", "--n", "6..6",
+                             f"{grid}=2,0.6,2.0", "--report", str(report))
+        assert code == 1 and out == ""
+        assert err == "treedex: error: bad grid '2,0.6,2.0': repeated value 2.0\n"
+        assert not report.exists()
+
+    @pytest.mark.parametrize("grid", ("--alpha-grid", "--a-grid"))
     @pytest.mark.parametrize("bad", ("nan", "inf", "-inf", OVERFLOWING))
     def test_non_finite_grid_validation_error(self, capsys, grid, bad):
         # a NaN cell would print as REFUTED: a refutation that never happened
@@ -377,8 +391,9 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(treedex.Tree, "__post_init__", no_tree)
         monkeypatch.setattr(treedex.verify, "_witnesses", no_tree)  # its cache may hold trees
-        code, out, _ = run(capsys, "verify", "--theorems", "all", "--n", "6..10")
+        code, out, err = run(capsys, "verify", "--theorems", "all", "--n", "6..10")
         assert code == 0 and "REFUTED" in out
+        assert re.fullmatch(r"verify: \d+ cells in \d+\.\ds\n", err)
 
     def test_golden_bytes(self, capsys, tmp_path):
         # sha256 of stdout, --report and --csv: any refactor must reproduce

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from conftest import all_free_trees
 
+import treedex.trees as trees_module
 import treedex.verify as verify
 from treedex import (
     CONFIRMED,
@@ -33,12 +34,19 @@ from treedex import (
 )
 from treedex.bounds import THEOREM_NAMES
 from treedex.cli import main
-from treedex.enumeration import _degree_sequences
+from treedex.enumeration import (
+    _degree_sequences,
+    _level_parents,
+    _level_sequences,
+    _tree_from_levels,
+)
+from treedex.trees import _adjacency, _edge_text, _peel_code
 from treedex.verify import (
     CSV_COLUMNS,
     _census,
     _csv_witnesses,
     _json_witnesses,
+    _rank_key,
     _values,
     _witnesses,
 )
@@ -59,6 +67,16 @@ def eager_witnesses(n):
             for ds, trees in classes.items()}
 
 
+def peel_witnesses(ds):
+    """Edge texts of a census class in canonical code order, each member
+    coded from its sorted edge list's adjacency lists by the leaf peel."""
+    coded = []
+    for levels in _census(len(ds))[ds]:
+        edges = sorted((p, v) for v, p in enumerate(_level_parents(levels)) if v)
+        coded.append((_peel_code(_adjacency(len(levels), edges)), _edge_text(edges)))
+    return tuple(text for _, text in sorted(coded))
+
+
 class TestCensus:
     def test_class_sizes_sum_to_tree_counts(self):
         for n, count in FREE_TREE_COUNTS.items():
@@ -75,6 +93,24 @@ class TestCensus:
         for n in range(2, 13):
             for ds, expected in eager_witnesses(n).items():
                 assert _witnesses(ds) == expected
+
+    def test_rank_keys_descend_as_codes_ascend(self):
+        for n in range(2, 16):
+            members = [bytes(levels) for levels in _level_sequences(n)]
+            assert len(set(map(_rank_key, members))) == len(members)
+            by_code = sorted(members, key=lambda levels: canonical_code(_tree_from_levels(levels)))
+            assert sorted(members, key=_rank_key, reverse=True) == by_code
+
+    def test_witnesses_match_peel_reference(self):
+        for n in range(2, 15):
+            for ds in _census(n):
+                assert _witnesses(ds) == peel_witnesses(ds)
+        # the winning classes of verify-deep's largest orders
+        winners = {ds for theorem in THEOREM_NAMES for r in check_theorem(theorem, range(15, 18))
+                   for ds in r.optimal_degseqs}
+        assert {len(ds) for ds in winners} == {15, 16, 17}
+        for ds in winners:
+            assert _witnesses(ds) == peel_witnesses(ds)
 
 
 class TestPartitionEngine:
@@ -146,8 +182,9 @@ class TestPartitionEngine:
         assert Index._of.cache_info().misses == len(DEFAULT_ALPHA_GRID) + len(DEFAULT_A_GRID) == 12
 
     def test_report_witnesses_build_no_tree(self, monkeypatch, tmp_path):
-        # every witness is coded and written from its level sequence's
-        # adjacency lists; the bytes are those of the Tree-built reference
+        # every witness is ordered and written from its level sequence,
+        # with no Tree and no code; the bytes are those of the Tree-built
+        # reference
         reference = {n: eager_witnesses(n) for n in range(6, 10)}
         expected = [[text for ds in r.optimal_degseqs for text in reference[r.n][ds]]
                     for theorem in THEOREM_NAMES for r in check_theorem(theorem, range(6, 10))]
@@ -155,7 +192,13 @@ class TestPartitionEngine:
         def no_tree(self):
             raise AssertionError("a witness tree was built")
 
+        def no_code(*args):
+            raise AssertionError("a witness tree was coded")
+
         monkeypatch.setattr(Tree, "__post_init__", no_tree)
+        for name in ("_peel_code", "_adjacency"):
+            monkeypatch.setattr(trees_module, name, no_code)
+            monkeypatch.setattr(verify, name, no_code, raising=False)
         for cache in (_witnesses, _json_witnesses):
             cache.cache_clear()
         report = tmp_path / "report.json"
