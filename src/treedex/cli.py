@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from .bounds import (
@@ -106,17 +107,33 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _write_out(text: str, out: str | None) -> None:
-    """Write text to the --out file, or to stdout when there is none."""
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _write_out(parts, out: str | None) -> None:
+    """Write text parts to the --out file, or to stdout when there is none.
+
+    The first part is made before the file is opened, so input that the
+    generator rejects leaves no file.
+    """
+    parts = iter(parts)
+    first = next(parts, "")
+    with open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout) as f:
+        f.write(first)
+        f.writelines(parts)
+
+
+def _blocks(trees):
+    """Edge-list blocks separated by a blank line, with a final newline;
+    nothing for no trees."""
+    separator = ""
+    for t in trees:
+        yield separator + t.edge_text()
+        separator = "\n\n"
+    if separator:
+        yield "\n"
 
 
 def _cmd_construct(args) -> int:
     param = _theorem_param(args)
-    _write_out(construct_extremal(args.theorem, args.n, param).edge_text() + "\n", args.out)
+    _write_out([construct_extremal(args.theorem, args.n, param).edge_text() + "\n"], args.out)
     return 0
 
 
@@ -127,8 +144,7 @@ def _cmd_enumerate(args) -> int:
         stream = family_members(FamilyConstraint(args.family, args.n, args.param))
     else:
         stream = free_trees(args.n)
-    text = "\n\n".join(t.edge_text() for t in stream)
-    _write_out(text + "\n" if text else text, args.out)
+    _write_out(_blocks(stream), args.out)
     return 0
 
 
@@ -212,6 +228,9 @@ def _cmd_verify(args) -> int:
         unknown = [t for t in theorems if t not in THEOREM_NAMES]
         if unknown:
             raise _UsageError(f"unknown theorems: {', '.join(map(repr, unknown))}")
+        for i, t in enumerate(theorems):
+            if t in theorems[:i]:  # its cells would be checked and written twice
+                raise _UsageError(f"bad theorems {args.theorems!r}: repeated name {t!r}")
     n_range = _parse_range(args.n)
     kwargs = {}
     if args.alpha_grid is not None:
@@ -229,14 +248,15 @@ def _cmd_verify(args) -> int:
         build_witnesses(reports)
         timing += f", witnesses in {time.perf_counter() - started:.1f}s"
         started = time.perf_counter()
-    doc = reports_to_json(reports) if args.report or args.json else ""
+    # Files are opened only now, so a run that fails leaves none.
     if args.report:
-        Path(args.report).write_text(doc, encoding="utf-8")
+        with open(args.report, "w", encoding="utf-8", newline="") as f:
+            reports_to_json(reports, f)
     if args.json:
-        sys.stdout.write(doc)
-    del doc  # not held while the CSV is built: it would add to peak memory
+        reports_to_json(reports, sys.stdout)
     if args.csv:
-        Path(args.csv).write_text(reports_to_csv(reports), encoding="utf-8")
+        with open(args.csv, "w", encoding="utf-8", newline="") as f:
+            reports_to_csv(reports, f)
     if written:
         timing += f", output in {time.perf_counter() - started:.1f}s"
     if not args.json:

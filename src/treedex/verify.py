@@ -19,7 +19,8 @@ centre-rooted level sequences, so no witness is coded, and each
 member's edge list is read off its level sequence; no Tree object is
 built. The writers turn each distinct winners tuple's witnesses into
 JSON and CSV text once and build every cell that shares the tuple from
-that text.
+that text. They produce a document one cell at a time, so a report
+written to a file is never held whole in memory.
 
 All outputs are deterministic: identical inputs produce byte-identical
 JSON and CSV documents (no timestamps or wall-clock data inside).
@@ -400,28 +401,51 @@ def _csv_witnesses(winners: tuple[DegreeSequence, ...]) -> str:
     return "|".join(text.replace("\n", ";") for ds in winners for text in _witnesses(ds))
 
 
-def reports_to_json(reports) -> str:
+def _json_parts(reports):
+    """The text of reports_to_json, one cell at a time.
+
+    Each cell's scalar fields are dumped with an empty witnesses list,
+    indented one level deeper to sit in the array, and the empty list is
+    replaced by the cell's list, encoded once per winners tuple.
+    """
+    for i, r in enumerate(reports):
+        cell = json.dumps({**r.scalar_fields(), "witnesses": []}, indent=2)
+        head, tail = cell.replace("\n", "\n  ").rsplit("[]", 1)
+        yield f"{',' if i else '['}\n  {head}{_json_witnesses(r.optimal_degseqs)}{tail}"
+    yield "\n]\n" if reports else "[]\n"
+
+
+def _write(parts, file):
+    """Join the parts into one string, or write them to an open file."""
+    if file is None:
+        return "".join(parts)
+    file.writelines(parts)
+    return None
+
+
+def reports_to_json(reports, file=None) -> str | None:
     """JSON array of cell objects (the report schema), the bytes of
     json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n".
 
-    json.dumps writes the scalar fields once, with every witnesses list
-    empty; each empty list is then replaced by the cell's list, encoded
-    once per winners tuple.
+    With a file, the text is written to it cell by cell and None is
+    returned; the whole document is never held.
     """
-    head, *tails = json.dumps([{**r.scalar_fields(), "witnesses": []} for r in reports],
-                              indent=2).split('"witnesses": []')
-    parts = [head]
-    for r, tail in zip(reports, tails, strict=True):
-        parts += ('"witnesses": ', _json_witnesses(r.optimal_degseqs), tail)
-    parts.append("\n")
-    return "".join(parts)
+    return _write(_json_parts(reports), file)
 
 
 CSV_COLUMNS = ("theorem", "n", "param", "index", "index_param", "direction",
                "bound", "oracle", "verdict", "witnesses")
 
 
-def reports_to_csv(reports) -> str:
+def _csv_parts(reports):
+    """The text of reports_to_csv: the header line, then one row per cell."""
+    yield ",".join(CSV_COLUMNS) + "\n"
+    for r in reports:
+        scalars = ",".join("" if v is None else str(v) for v in r.scalar_fields().values())
+        yield f"{scalars},{_csv_witnesses(r.optimal_degseqs)}\n"
+
+
+def reports_to_csv(reports, file=None) -> str | None:
     """CSV flattening of the JSON schema, in CSV_COLUMNS order, with the
     bytes csv.writer(lineterminator="\n") writes: a None param is an
     empty field, numbers are their str (a float's repr), and witness edge
@@ -430,10 +454,7 @@ def reports_to_csv(reports) -> str:
     No field ever needs quoting, so each row is joined directly: theorem,
     index, direction and verdict names come from fixed tables, numbers
     hold no ',', '"' or line break, and witnesses hold only digits,
-    spaces, ';' and '|'.
+    spaces, ';' and '|'. With a file, the rows are written to it one at
+    a time and None is returned.
     """
-    parts = [",".join(CSV_COLUMNS), "\n"]
-    for r in reports:
-        scalars = ("" if v is None else str(v) for v in r.scalar_fields().values())
-        parts += (",".join(scalars), ",", _csv_witnesses(r.optimal_degseqs), "\n")
-    return "".join(parts)
+    return _write(_csv_parts(reports), file)

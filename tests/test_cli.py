@@ -223,6 +223,32 @@ class TestEnumerateCommand:
         assert code == 0 and out == ""
         assert len(f.read_text().strip().split("\n\n")) == 2
 
+    def test_family_bytes(self, capsys, tmp_path):
+        # sha256 of the listing when it was joined into one string before writing
+        golden = "568370acd228c7b6496afaf7af0c2e0f6be061c46f616a6c70c0752b53b6e4fb"
+        argv = ["enumerate", "--n", "12", "--family", "bt", "--param", "3"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == golden
+        f = tmp_path / "trees.txt"
+        code, out, _ = run(capsys, *argv, "--out", str(f))
+        assert code == 0 and out == ""
+        assert hashlib.sha256(f.read_bytes()).hexdigest() == golden
+
+    def test_no_trees_write_nothing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(treedex.cli, "free_trees", lambda n: iter(()))
+        code, out, _ = run(capsys, "enumerate", "--n", "6")
+        assert code == 0 and out == ""
+        f = tmp_path / "trees.txt"
+        code, out, _ = run(capsys, "enumerate", "--n", "6", "--out", str(f))
+        assert code == 0 and out == "" and f.read_bytes() == b""
+
+    def test_order_cap_leaves_no_file(self, capsys, tmp_path):
+        f = tmp_path / "trees.txt"
+        code, out, err = run(capsys, "enumerate", "--n", "19", "--out", str(f))
+        assert code == 2 and out == ""
+        assert err == "treedex: n must be in 2..18\n"
+        assert not f.exists()
+
 
 class TestTransformCommand:
     def test_p1_with_deltas(self, capsys, tmp_path):
@@ -335,6 +361,15 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--theorems", theorems, "--n", "6..7")
         assert code == 1 and out == ""
         assert err == f"treedex: error: unknown theorems: {named}\n"
+
+    def test_repeated_theorem_usage_error(self, capsys, tmp_path):
+        # each star cell would be checked and written twice
+        report = tmp_path / "R"
+        code, out, err = run(capsys, "verify", "--theorems", "star,pt-spider,star", "--n", "6..6",
+                             "--alpha-grid", "2", "--a-grid", "2", "--report", str(report))
+        assert code == 1 and out == ""
+        assert err == "treedex: error: bad theorems 'star,pt-spider,star': repeated name 'star'\n"
+        assert not report.exists()
 
     @pytest.mark.parametrize("grid", ("--alpha-grid", "--a-grid"))
     def test_repeated_grid_value_usage_error(self, capsys, tmp_path, grid):

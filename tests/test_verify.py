@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -398,7 +399,7 @@ class TestWriters:
     """reports_to_json and reports_to_csv against the schema's one encoding."""
 
     @pytest.mark.parametrize("case", WRITER_CASES)
-    def test_writers_equal_their_references(self, case):
+    def test_writers_equal_their_references(self, case, tmp_path):
         reports = WRITER_CASES[case]()
         if case == "default-6..11":
             assert any(len(r.optimal_degseqs) > 1 for r in reports)
@@ -424,6 +425,29 @@ class TestWriters:
                 r.scalar_fields().values())
             assert [text.replace(";", "\n") for text in witnesses.split("|")] == list(
                 r.witness_edge_texts)
+
+        # written to a file, each document has the same bytes
+        for writer, text in ((reports_to_json, document), (reports_to_csv, table)):
+            path = tmp_path / writer.__name__
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                assert writer(reports, f) is None
+            assert path.read_bytes() == text.encode()
+
+    def test_peak_memory_below_a_quarter_of_the_document(self, tmp_path):
+        # the joined string alone would be more than the whole document
+        reports = all_theorems(range(6, 15))
+        for writer in (reports_to_json, reports_to_csv):
+            document = writer(reports)  # also builds every cached witness block
+            path = tmp_path / writer.__name__
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                tracemalloc.start()
+                try:
+                    writer(reports, f)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak < len(document) / 4, (writer.__name__, peak, len(document))
+            assert path.read_bytes() == document.encode()
 
 
 class TestFullReport:
