@@ -209,14 +209,19 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _reject_repeats(items, message: str) -> None:
+    """Usage error naming, after the message, the first repeated item."""
+    for i, x in enumerate(items):
+        if x in items[:i]:  # its cells would be checked and written twice
+            raise _UsageError(f"{message} {x!r}")
+
+
 def _parse_grid(text: str) -> tuple[float, ...]:
     try:
         grid = tuple(float(x) for x in text.split(","))
     except ValueError:
         raise _UsageError(f"bad grid {text!r}, expected comma-separated reals") from None
-    for i, x in enumerate(grid):
-        if x in grid[:i]:  # its cells would be checked and written twice
-            raise _UsageError(f"bad grid {text!r}: repeated value {x!r}")
+    _reject_repeats(grid, f"bad grid {text!r}: repeated value")
     return grid
 
 
@@ -228,9 +233,7 @@ def _cmd_verify(args) -> int:
         unknown = [t for t in theorems if t not in THEOREM_NAMES]
         if unknown:
             raise _UsageError(f"unknown theorems: {', '.join(map(repr, unknown))}")
-        for i, t in enumerate(theorems):
-            if t in theorems[:i]:  # its cells would be checked and written twice
-                raise _UsageError(f"bad theorems {args.theorems!r}: repeated name {t!r}")
+        _reject_repeats(theorems, f"bad theorems {args.theorems!r}: repeated name")
     n_range = _parse_range(args.n)
     kwargs = {}
     if args.alpha_grid is not None:

@@ -17,10 +17,10 @@ the cell is written out (--report, --csv, --json), once per class. The
 members are put in canonical code order by a key read off their
 centre-rooted level sequences, so no witness is coded, and each
 member's edge list is read off its level sequence; no Tree object is
-built. The writers turn each distinct winners tuple's witnesses into
-JSON and CSV text once and build every cell that shares the tuple from
-that text. They produce a document one cell at a time, so a report
-written to a file is never held whole in memory.
+built. Each winning class is held once, as its edge texts and their
+JSON and CSV encodings. The writers join a cell's classes and write
+one cell at a time to the file they are given, so a report is never
+held whole in memory.
 
 All outputs are deterministic: identical inputs produce byte-identical
 JSON and CSV documents (no timestamps or wall-clock data inside).
@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress, repeat
+from typing import NamedTuple
 
 from .bounds import (
     THEOREM_FAMILY,
@@ -106,9 +107,18 @@ _EDGE_LINES = tuple(tuple(_edge_text([(p, v)]) for v in range(DEFAULT_MAX_N))
                     for p in range(DEFAULT_MAX_N))
 
 
+class _ClassWitnesses(NamedTuple):
+    """A census class's witnesses and their two report encodings."""
+
+    texts: tuple[str, ...]
+    json_items: str  # the texts as items of a report cell's JSON array
+    csv_field: str  # ';' between edges, '|' between trees
+
+
 @lru_cache(maxsize=None)
-def _witnesses(ds: DegreeSequence) -> tuple[str, ...]:
-    """Edge texts of a census class, in canonical code order.
+def _witnesses(ds: DegreeSequence) -> _ClassWitnesses:
+    """Edge texts of a census class, in canonical code order, with the
+    JSON items and CSV field the writers join across a cell's classes.
 
     Members are ordered by `_rank_key`, so none is coded. A member's
     edges are its (parent, child) pairs in ascending order, the edge
@@ -121,12 +131,13 @@ def _witnesses(ds: DegreeSequence) -> tuple[str, ...]:
         parents = _level_parents(levels)
         children = sorted(range(1, len(parents)), key=parents.__getitem__)
         texts.append("\n".join([_EDGE_LINES[parents[v]][v] for v in children]))
-    return tuple(texts)
+    return _ClassWitnesses(tuple(texts), ",\n      ".join(map(json.dumps, texts)),
+                           "|".join(texts).replace("\n", ";"))
 
 
 def build_witnesses(reports) -> None:
     """Build the witnesses of every class that wins a cell of the
-    reports, so that writing them out only encodes text."""
+    reports, so that writing them out only joins text."""
     for ds in dict.fromkeys(ds for r in reports for ds in r.optimal_degseqs):
         _witnesses(ds)
 
@@ -177,13 +188,13 @@ class TheoremReport:
     bound_matches: bool
     equality_set_matches: bool
     verdict: str
-    expected_degseq: DegreeSequence
     optimal_degseqs: tuple[DegreeSequence, ...]
 
-    @cached_property
+    @property
     def witness_edge_texts(self) -> tuple[str, ...]:
-        """Every tree of every optimal degree sequence, built on first read."""
-        return tuple(text for ds in self.optimal_degseqs for text in _witnesses(ds))
+        """Every tree of every optimal degree sequence, read from the
+        class cache; the report keeps none of them."""
+        return tuple(text for ds in self.optimal_degseqs for text in _witnesses(ds).texts)
 
     def scalar_fields(self) -> dict:
         """The report schema without its witnesses, in CSV_COLUMNS order."""
@@ -224,7 +235,6 @@ def _check_cell(theorem: str, n: int, param: int | None, index: Index) -> Theore
         bound_matches=bound_matches,
         equality_set_matches=equality_set_matches,
         verdict=CONFIRMED if bound_matches and equality_set_matches else REFUTED,
-        expected_degseq=bound.equality_degseq,
         optimal_degseqs=winners,
     )
 
@@ -388,73 +398,43 @@ def full_report(n_max: int = 14, alpha_grid=DEFAULT_ALPHA_GRID, a_grid=DEFAULT_A
     }
 
 
-@lru_cache(maxsize=None)
-def _json_witnesses(winners: tuple[DegreeSequence, ...]) -> str:
-    """A cell's witnesses list as json.dumps(indent=2) writes it in a report."""
-    items = ",\n      ".join(json.dumps(text) for ds in winners for text in _witnesses(ds))
-    return f"[\n      {items}\n    ]"
+def reports_to_json(reports, file) -> None:
+    """Write the JSON array of cell objects (the report schema) to the
+    file, with the bytes of
+    json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n".
 
-
-@lru_cache(maxsize=None)
-def _csv_witnesses(winners: tuple[DegreeSequence, ...]) -> str:
-    """A cell's witnesses CSV field: ';' between edges, '|' between trees."""
-    return "|".join(text.replace("\n", ";") for ds in winners for text in _witnesses(ds))
-
-
-def _json_parts(reports):
-    """The text of reports_to_json, one cell at a time.
-
-    Each cell's scalar fields are dumped with an empty witnesses list,
+    One cell is written at a time, so the document is never held. Each
+    cell's scalar fields are dumped with an empty witnesses list,
     indented one level deeper to sit in the array, and the empty list is
-    replaced by the cell's list, encoded once per winners tuple.
+    replaced by its classes' cached JSON items.
     """
     for i, r in enumerate(reports):
         cell = json.dumps({**r.scalar_fields(), "witnesses": []}, indent=2)
         head, tail = cell.replace("\n", "\n  ").rsplit("[]", 1)
-        yield f"{',' if i else '['}\n  {head}{_json_witnesses(r.optimal_degseqs)}{tail}"
-    yield "\n]\n" if reports else "[]\n"
-
-
-def _write(parts, file):
-    """Join the parts into one string, or write them to an open file."""
-    if file is None:
-        return "".join(parts)
-    file.writelines(parts)
-    return None
-
-
-def reports_to_json(reports, file=None) -> str | None:
-    """JSON array of cell objects (the report schema), the bytes of
-    json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n".
-
-    With a file, the text is written to it cell by cell and None is
-    returned; the whole document is never held.
-    """
-    return _write(_json_parts(reports), file)
+        items = ",\n      ".join(_witnesses(ds).json_items for ds in r.optimal_degseqs)
+        file.write(f"{',' if i else '['}\n  {head}[\n      {items}\n    ]{tail}")
+    file.write("\n]\n" if reports else "[]\n")
 
 
 CSV_COLUMNS = ("theorem", "n", "param", "index", "index_param", "direction",
                "bound", "oracle", "verdict", "witnesses")
 
 
-def _csv_parts(reports):
-    """The text of reports_to_csv: the header line, then one row per cell."""
-    yield ",".join(CSV_COLUMNS) + "\n"
-    for r in reports:
-        scalars = ",".join("" if v is None else str(v) for v in r.scalar_fields().values())
-        yield f"{scalars},{_csv_witnesses(r.optimal_degseqs)}\n"
-
-
-def reports_to_csv(reports, file=None) -> str | None:
-    """CSV flattening of the JSON schema, in CSV_COLUMNS order, with the
-    bytes csv.writer(lineterminator="\n") writes: a None param is an
-    empty field, numbers are their str (a float's repr), and witness edge
-    lists use ';' between edges and '|' between witnesses.
+def reports_to_csv(reports, file) -> None:
+    """Write the CSV flattening of the JSON schema to the file, in
+    CSV_COLUMNS order, with the bytes csv.writer(lineterminator="\n")
+    writes: a None param is an empty field, numbers are their str (a
+    float's repr), and witness edge lists use ';' between edges and '|'
+    between witnesses.
 
     No field ever needs quoting, so each row is joined directly: theorem,
     index, direction and verdict names come from fixed tables, numbers
     hold no ',', '"' or line break, and witnesses hold only digits,
-    spaces, ';' and '|'. With a file, the rows are written to it one at
-    a time and None is returned.
+    spaces, ';' and '|'. The header and then one row per cell are
+    written, each as it is made.
     """
-    return _write(_csv_parts(reports), file)
+    file.write(",".join(CSV_COLUMNS) + "\n")
+    for r in reports:
+        scalars = ",".join("" if v is None else str(v) for v in r.scalar_fields().values())
+        witnesses = "|".join(_witnesses(ds).csv_field for ds in r.optimal_degseqs)
+        file.write(f"{scalars},{witnesses}\n")

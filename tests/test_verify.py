@@ -45,8 +45,6 @@ from treedex.trees import _adjacency, _edge_text, _peel_code
 from treedex.verify import (
     CSV_COLUMNS,
     _census,
-    _csv_witnesses,
-    _json_witnesses,
     _rank_key,
     _values,
     _witnesses,
@@ -93,7 +91,7 @@ class TestCensus:
     def test_witnesses_match_eager_reference(self):
         for n in range(2, 13):
             for ds, expected in eager_witnesses(n).items():
-                assert _witnesses(ds) == expected
+                assert _witnesses(ds).texts == expected
 
     def test_rank_keys_descend_as_codes_ascend(self):
         for n in range(2, 16):
@@ -105,13 +103,13 @@ class TestCensus:
     def test_witnesses_match_peel_reference(self):
         for n in range(2, 15):
             for ds in _census(n):
-                assert _witnesses(ds) == peel_witnesses(ds)
+                assert _witnesses(ds).texts == peel_witnesses(ds)
         # the winning classes of verify-deep's largest orders
         winners = {ds for theorem in THEOREM_NAMES for r in check_theorem(theorem, range(15, 18))
                    for ds in r.optimal_degseqs}
         assert {len(ds) for ds in winners} == {15, 16, 17}
         for ds in winners:
-            assert _witnesses(ds) == peel_witnesses(ds)
+            assert _witnesses(ds).texts == peel_witnesses(ds)
 
 
 class TestPartitionEngine:
@@ -200,8 +198,7 @@ class TestPartitionEngine:
         for name in ("_peel_code", "_adjacency"):
             monkeypatch.setattr(trees_module, name, no_code)
             monkeypatch.setattr(verify, name, no_code, raising=False)
-        for cache in (_witnesses, _json_witnesses):
-            cache.cache_clear()
+        _witnesses.cache_clear()
         report = tmp_path / "report.json"
         assert main(["verify", "--theorems", "all", "--n", "6..9", "--report", str(report)]) == 0
         cells = json.loads(report.read_text(encoding="utf-8"))
@@ -211,12 +208,11 @@ class TestPartitionEngine:
         reports = check_theorem("pt-spider", range(8, 9), alpha_grid=(), a_grid=(0.5,))
         probe = next(r for r in reports if r.param == 6)
         assert probe.verdict == REFUTED
-        assert "witness_edge_texts" not in vars(probe)  # nothing built yet
         reference = eager_witnesses(8)
         expected = tuple(text for ds in probe.optimal_degseqs
                          for text in reference[ds])
         assert expected and probe.witness_edge_texts == expected
-        assert vars(probe)["witness_edge_texts"] is probe.witness_edge_texts
+        assert "witness_edge_texts" not in vars(probe)  # read from the class cache, not kept
 
 
 class TestOracleExtremum:
@@ -344,10 +340,17 @@ class TestMonotonicity:
             check_monotonicity("zz", range(4, 6))
 
 
+def written(writer, reports):
+    """The document a report writer writes, as a string."""
+    buf = io.StringIO()
+    writer(reports, buf)
+    return buf.getvalue()
+
+
 class TestReports:
     def test_json_schema(self):
         reports = check_theorem("star", range(6, 8), alpha_grid=(2.0,), a_grid=(2.0,))
-        doc = json.loads(reports_to_json(reports))
+        doc = json.loads(written(reports_to_json, reports))
         assert isinstance(doc, list)
         for cell in doc:
             assert list(cell) == ["theorem", "n", "param", "index", "index_param",
@@ -357,15 +360,15 @@ class TestReports:
 
     def test_csv_columns(self):
         reports = check_theorem("star", range(6, 8), alpha_grid=(2.0,), a_grid=())
-        text = reports_to_csv(reports)
+        text = written(reports_to_csv, reports)
         lines = text.strip().split("\n")
         assert lines[0] == "theorem,n,param,index,index_param,direction,bound,oracle,verdict,witnesses"
         assert len(lines) == 1 + len(reports)
         assert "\r" not in text
 
     def test_determinism(self):
-        first = reports_to_json(check_theorem("bt-big", range(6, 9)))
-        second = reports_to_json(check_theorem("bt-big", range(6, 9)))
+        first = written(reports_to_json, check_theorem("bt-big", range(6, 9)))
+        second = written(reports_to_json, check_theorem("bt-big", range(6, 9)))
         assert first == second
 
 
@@ -404,15 +407,15 @@ class TestWriters:
         if case == "default-6..11":
             assert any(len(r.optimal_degseqs) > 1 for r in reports)
             assert {r.verdict for r in reports} == {CONFIRMED, REFUTED}
-        _json_witnesses.cache_clear()
-        _csv_witnesses.cache_clear()
-        document, table = reports_to_json(reports), reports_to_csv(reports)
-        assert reports_to_json(reports) == document and reports_to_csv(reports) == table
+        _witnesses.cache_clear()
+        document, table = written(reports_to_json, reports), written(reports_to_csv, reports)
+        assert written(reports_to_json, reports) == document
+        assert written(reports_to_csv, reports) == table
         # neither writer builds a cell's own witness tuple
         assert not any("witness_edge_texts" in vars(r) for r in reports)
-        # each winners tuple is encoded once per format
-        winners = len({r.optimal_degseqs for r in reports})
-        assert _json_witnesses.cache_info().misses == _csv_witnesses.cache_info().misses == winners
+        # each winning class is built and encoded once, for both formats
+        classes = len({ds for r in reports for ds in r.optimal_degseqs})
+        assert _witnesses.cache_info().misses == classes
 
         assert document == json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
         assert table == csv_reference(reports)
@@ -437,7 +440,7 @@ class TestWriters:
         # the joined string alone would be more than the whole document
         reports = all_theorems(range(6, 15))
         for writer in (reports_to_json, reports_to_csv):
-            document = writer(reports)  # also builds every cached witness block
+            document = written(writer, reports)  # also builds every cached witness class
             path = tmp_path / writer.__name__
             with open(path, "w", encoding="utf-8", newline="") as f:
                 tracemalloc.start()
