@@ -1,20 +1,24 @@
 """Isomorphism-free generation of all free trees on n vertices.
 
-The generator walks canonical level sequences with a successor
-function: starting from the center-rooted path it repeatedly takes the
+One walk, _level_sequences, generates every tree: Wright, Richmond,
+Odlyzko and McKay's constant-amortized-time successor over canonical
+level sequences. From the center-rooted path it repeatedly takes the
 next rooted level sequence and skips (by a computed jump, not by
 filtering) any sequence that is not the canonical rooting of its free
 tree. One representative per isomorphism class is produced in a fixed
-order, path first, star last, with no dedup set. The same walk yields
-the bare level sequences to the verify census, which groups them by
-the degrees read off them; the witnesses it writes out are ordered by
-those centre-rooted sequences and read off them, never built as trees
-or coded.
+order, path first, star last, with no dedup set. Each step rewrites
+only a suffix of the levels, and the walk keeps each tree's parents,
+degrees and count of vertices per degree up to date over that suffix
+alone, so it yields every tree's degree counts with its levels. The
+verify census groups the levels by those counts; the witnesses it
+writes out are ordered by those centre-rooted sequences and read off
+them, never built as trees or coded. free_trees and family_members
+build Trees from the same walk.
 
 Every non-increasing positive n-tuple summing to 2(n - 1) is the degree
 sequence of some tree, so a family is a filter over the partitions of
 n - 2 (`_family`): the verify scan reads its sequences, family_members
-builds the trees whose degrees pass it.
+builds the trees whose degree counts match one of them.
 
 A Prüfer-decode generator over all n^(n-2) labeled trees is included as
 the independent cross-check oracle for small n. The oracle's count
@@ -33,52 +37,6 @@ from .trees import DegreeSequence, Tree, _adjacency, _peel_code
 from .trees import canonical_code  # noqa: F401  (looked up here by perfbench/tracer.py)
 
 DEFAULT_MAX_N = 18
-
-
-def _next_rooted(layout: list[int], p: int | None = None) -> list[int] | None:
-    # Successor in the rooted level-sequence order; p forces the pivot.
-    if p is None:
-        p = len(layout) - 1
-        while layout[p] == 1:
-            p -= 1
-    if p == 0:
-        return None
-    q = p - 1
-    while layout[q] != layout[p] - 1:
-        q -= 1
-    out = list(layout)
-    for i in range(p, len(out)):
-        out[i] = out[i - p + q]
-    return out
-
-
-def _split_levels(layout: list[int]) -> tuple[list[int], list[int]]:
-    # First root subtree (re-rooted at level 0) and the rest of the tree.
-    m = next((i for i in range(2, len(layout)) if layout[i] == 1), len(layout))
-    left = [layout[i] - 1 for i in range(1, m)]
-    rest = [0] + layout[m:]
-    return left, rest
-
-
-def _next_free_canonical(candidate: list[int]) -> list[int]:
-    # Return the candidate if it canonically represents a free tree,
-    # otherwise jump directly to the next sequence that does; the jump
-    # pivots at len(left) >= 1, so _next_rooted never ends the walk here.
-    left, rest = _split_levels(candidate)
-    left_h, rest_h = max(left), max(rest)
-    if rest_h > left_h:
-        return candidate
-    if rest_h == left_h and (
-        len(left) < len(rest) or (len(left) == len(rest) and left <= rest)
-    ):
-        return candidate
-    p = len(left)
-    successor = _next_rooted(candidate, p)
-    if candidate[p] > 2:
-        new_left, _ = _split_levels(successor)
-        suffix = range(1, max(new_left) + 2)
-        successor[-len(suffix):] = suffix
-    return successor
 
 
 def _level_parents(levels) -> list[int]:
@@ -154,13 +112,96 @@ def _family(kind: str | None, n: int, param: int | None) -> tuple[DegreeSequence
 
 
 def _level_sequences(n: int):
-    """Canonical level sequence of each n-vertex free tree, in free_trees order."""
+    """Each n-vertex free tree as (levels, counts), in free_trees order.
+
+    levels is the tree's canonical level sequence, rooted at a centre;
+    counts[d] is its number of vertices of degree d (use _key_degrees
+    for the degrees). Both are bytes.
+
+    The walk is the constant-amortized-time successor of Wright,
+    Richmond, Odlyzko and McKay (1986): the next rooted level sequence,
+    or, when that does not root its free tree canonically, a jump to the
+    next one that does. A step rewrites only a suffix of the levels, from
+    its first changed position p, so only those vertices are dropped and
+    re-added. Each of them is dropped and re-added as a leaf, so its own
+    count stays at degree 1 and only its parent's degree moves.
+    """
     _check_order(n)
-    layout: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while layout is not None:
-        layout = _next_free_canonical(layout)
-        yield layout
-        layout = _next_rooted(layout)
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))  # the path
+    # Start from the star's state, so the first step re-adds every vertex.
+    parents = [-1] + [0] * (n - 1)
+    degrees = [n - 1] + [1] * (n - 1)
+    counts = [0] * n
+    counts[1] += n - 1
+    counts[n - 1] += 1
+    p = 1
+    while True:
+        # drop the vertices from p on, then add them at their new levels
+        for u in parents[p:]:
+            d = degrees[u]
+            counts[d] -= 1
+            counts[d - 1] += 1
+            degrees[u] = d - 1
+        for v in range(p, n):
+            lev = levels[v]
+            u = v - 1
+            while levels[u] >= lev:  # climb to the latest vertex one level up
+                u = parents[u]
+            parents[v] = u
+            degrees[v] = 1
+            d = degrees[u]
+            counts[d] -= 1
+            counts[d + 1] += 1
+            degrees[u] = d + 1
+        yield bytes(levels), bytes(counts)
+        # Next rooted sequence: the last vertex above level 1 moves up to
+        # its parent's level, and the suffix from it repeats the parent's
+        # subtree.
+        p = n - 1
+        while levels[p] == 1:
+            p -= 1
+        if p == 0:
+            return
+        _repeat_parent(levels, p)
+        # The root's first subtree ends before its second child m (a
+        # centre-rooted tree keeps one through a rooted step). The rooting
+        # is the free tree's canonical one when the rest is deeper than
+        # that subtree, or as deep and the subtree is shorter, or as long
+        # and not greater as a list (built only then).
+        m = levels.index(1, 2)
+        top = max(levels[1:m])
+        rest_top = max(levels[m:])
+        if rest_top < top - 1 or (rest_top == top - 1 and (
+                2 * m > n + 2 or (2 * m == n + 2
+                                  and [lev - 1 for lev in levels[1:m]] > [0, *levels[m:]]))):
+            # Jump: advance at the subtree's last vertex j. If j was deeper
+            # than level 2, the subtree now holds every vertex but the
+            # root, and its last h vertices become a path from level 1 to
+            # h, its deepest level. p stays the first position changed
+            # since the last tree.
+            j = m - 1
+            deep = levels[j] > 2
+            _repeat_parent(levels, j)
+            if deep:
+                h = max(levels)
+                levels[n - h:] = range(1, h + 1)
+                j = min(j, n - h)
+            p = min(p, j)
+
+
+def _repeat_parent(levels: list[int], p: int) -> None:
+    # Rooted-order successor at pivot p: from p on, repeat the levels of
+    # the subtree of p's parent q (p itself moves to q's level).
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    for i in range(p, len(levels)):
+        levels[i] = levels[i - p + q]
+
+
+def _key_degrees(counts: bytes) -> tuple[int, ...]:
+    """The non-increasing degrees of a walk's degree counts."""
+    return tuple(d for d in range(len(counts) - 1, 0, -1) for _ in range(counts[d]))
 
 
 def free_trees(n: int):
@@ -169,7 +210,7 @@ def free_trees(n: int):
     Deterministic order; pairwise distinct canonical codes. The cap
     DEFAULT_MAX_N guards against accidentally huge enumerations.
     """
-    for levels in _level_sequences(n):
+    for levels, _ in _level_sequences(n):
         yield _tree_from_levels(levels)
 
 
@@ -177,12 +218,12 @@ def family_members(c: FamilyConstraint):
     """Members of PT/ST/BT(n, param) in free_trees order.
 
     For ST this is exactly the set of trees with n2 = n - k - 1. The
-    degrees read off each level sequence are checked against the
-    family's degree sequences, so only members are built as trees.
+    walk's degree counts are checked against the family's degree
+    sequences, so only members are built as trees.
     """
-    members = set(_family(c.kind, c.n, c.param))
-    for levels in _level_sequences(c.n):
-        if _level_degrees(levels) in members:
+    members = {bytes(map(ds.count, range(c.n))) for ds in _family(c.kind, c.n, c.param)}
+    for levels, counts in _level_sequences(c.n):
+        if counts in members:
             yield _tree_from_levels(levels)
 
 

@@ -46,7 +46,7 @@ from .bounds import (
 from .enumeration import (
     DEFAULT_MAX_N,
     _family,
-    _level_degrees,
+    _key_degrees,
     _level_parents,
     _level_sequences,
     free_trees,
@@ -70,14 +70,18 @@ def _census(n: int) -> dict[tuple[int, ...], tuple[bytes, ...]]:
     """Degree tuple -> level sequence of each tree in its class.
 
     Keys ascend (a DegreeSequence equals its tuple, so it finds its
-    class), and each class keeps free_trees order.
-    No tree is built here; `_witnesses` builds a class when it is
-    written out. Verdicts never read the census.
+    class), and each class keeps free_trees order. The walk carries
+    each tree's degree counts, so the trees are grouped by those and
+    each class's counts become its degrees once; no tree's parents or
+    degrees are derived again here. No tree is built either;
+    `_witnesses` builds a class when it is written out. Verdicts never
+    read the census.
     """
-    classes: dict[tuple[int, ...], list[bytes]] = {}
-    for levels in _level_sequences(n):
-        classes.setdefault(_level_degrees(levels), []).append(bytes(levels))
-    return {degrees: tuple(classes[degrees]) for degrees in sorted(classes)}
+    classes: dict[bytes, list[bytes]] = {}
+    for levels, counts in _level_sequences(n):
+        classes.setdefault(counts, []).append(levels)
+    return dict(sorted((_key_degrees(counts), tuple(members))
+                       for counts, members in classes.items()))
 
 
 def _rank_key(levels: bytes) -> bytes:

@@ -23,11 +23,15 @@ from treedex import (
 )
 from treedex.bounds import family_param, family_params
 from treedex.enumeration import (
+    _degree_sequences,
+    _key_degrees,
     _level_degrees,
     _level_parents,
+    _level_sequences,
     _prufer_edges,
     _tree_from_levels,
 )
+from treedex.verify import _census
 
 # Distinct tree shapes per vertex count, derived from the Prüfer-decode
 # oracle (run live below for small n).
@@ -99,6 +103,78 @@ class TestLevelSequences:
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+
+def reference_next_rooted(layout, p=None):
+    """Successor in the rooted level-sequence order; p forces the pivot."""
+    if p is None:
+        p = len(layout) - 1
+        while layout[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while layout[q] != layout[p] - 1:
+        q -= 1
+    out = list(layout)
+    for i in range(p, len(out)):
+        out[i] = out[i - p + q]
+    return out
+
+
+def reference_split_levels(layout):
+    """First root subtree (re-rooted at level 0) and the rest of the tree."""
+    m = next((i for i in range(2, len(layout)) if layout[i] == 1), len(layout))
+    return [layout[i] - 1 for i in range(1, m)], [0] + layout[m:]
+
+
+def reference_next_free_canonical(candidate):
+    """The candidate if it is the canonical rooting of its free tree,
+    else the next rooted sequence that is, reached by one jump."""
+    left, rest = reference_split_levels(candidate)
+    left_h, rest_h = max(left), max(rest)
+    if rest_h > left_h:
+        return candidate
+    if rest_h == left_h and (
+        len(left) < len(rest) or (len(left) == len(rest) and left <= rest)
+    ):
+        return candidate
+    p = len(left)
+    successor = reference_next_rooted(candidate, p)
+    if candidate[p] > 2:
+        new_left, _ = reference_split_levels(successor)
+        suffix = range(1, max(new_left) + 2)
+        successor[-len(suffix):] = suffix
+    return successor
+
+
+def reference_level_sequences(n):
+    """The Wright-Richmond-Odlyzko-McKay walk as separate steps: a fresh
+    list per candidate, the canonical test on split lists, no degrees."""
+    layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while layout is not None:
+        layout = reference_next_free_canonical(layout)
+        yield bytes(layout)
+        layout = reference_next_rooted(layout)
+
+
+class TestWalk:
+    def test_levels_match_the_reference_walk(self):
+        for n in range(2, 17):
+            assert [levels for levels, _ in _level_sequences(n)] == \
+                list(reference_level_sequences(n)), n
+
+    def test_degree_counts_match_the_levels(self):
+        for n in range(2, 15):
+            for levels, counts in _level_sequences(n):
+                assert len(counts) == n and counts[0] == 0
+                assert _key_degrees(counts) == _level_degrees(levels), levels
+
+    def test_census_at_seventeen(self):
+        census = _census(17)
+        assert sum(map(len, census.values())) == 48629  # OEIS A000055
+        assert tuple(census) == _degree_sequences(17)
+        assert all(len(levels) == 17 for members in census.values() for levels in members)
 
 
 def heap_prufer_edges(seq, n):

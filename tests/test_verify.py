@@ -4,6 +4,7 @@ import json
 import sys
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from conftest import all_free_trees
@@ -33,10 +34,11 @@ from treedex import (
     theorem_bound,
     values_close,
 )
-from treedex.bounds import THEOREM_NAMES
+from treedex.bounds import THEOREM_FAMILY, THEOREM_NAMES
 from treedex.cli import main
 from treedex.enumeration import (
     _degree_sequences,
+    _family,
     _level_parents,
     _level_sequences,
     _tree_from_levels,
@@ -95,7 +97,7 @@ class TestCensus:
 
     def test_rank_keys_descend_as_codes_ascend(self):
         for n in range(2, 16):
-            members = [bytes(levels) for levels in _level_sequences(n)]
+            members = [levels for levels, _ in _level_sequences(n)]
             assert len(set(map(_rank_key, members))) == len(members)
             by_code = sorted(members, key=lambda levels: canonical_code(_tree_from_levels(levels)))
             assert sorted(members, key=_rank_key, reverse=True) == by_code
@@ -303,6 +305,26 @@ class TestCheckTheorem:
         key = lambda r: (r.n, r.param, r.index_kind, r.index_param)
         subset = {key(r): r.verdict for r in large if r.n <= 8}
         assert {key(r): r.verdict for r in small} == subset
+
+    def test_multi_winner_cells_are_exact_ties(self):
+        # The float scan merges winners within the tolerance. On the
+        # default grids at n 6..17 it does so in 19 cells, all at a = 0.6;
+        # in exact arithmetic at a = 3/5 each winner set is exactly the
+        # family's optimisers, so those verdicts do not rest on the
+        # tolerance.
+        multi = [r for theorem in THEOREM_NAMES for r in check_theorem(theorem, range(6, 18))
+                 if len(r.optimal_degseqs) > 1]
+        assert len(multi) == 19
+        assert {(r.theorem, r.index_kind, r.index_param) for r in multi} == {
+            ("bt-big", "sei", 0.6), ("pt-balanced", "sei", 0.6)}
+        a = Fraction(3, 5)
+        assert Fraction(repr(0.6)) == a
+        for r in multi:
+            exact = {ds: sum(d * a ** d for d in ds)
+                     for ds in _family(THEOREM_FAMILY[r.theorem], r.n, r.param)}
+            best = (min if r.direction == "min" else max)(exact.values())
+            assert tuple(ds for ds, value in exact.items() if value == best) == \
+                r.optimal_degseqs, (r.theorem, r.n, r.param)
 
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):
