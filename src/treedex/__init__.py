@@ -56,7 +56,6 @@ from .verify import (
     DEFAULT_A_GRID,
     DEFAULT_ALPHA_GRID,
     REFUTED,
-    MonotonicityRow,
     TheoremReport,
     check_monotonicity,
     check_theorem,

@@ -9,11 +9,10 @@ tree. One representative per isomorphism class is produced in a fixed
 order, path first, star last, with no dedup set. Each step rewrites
 only a suffix of the levels, and the walk keeps each tree's parents,
 degrees and count of vertices per degree up to date over that suffix
-alone, so it yields every tree's degree counts with its levels. The
-verify census groups the levels by those counts; the witnesses it
-writes out are ordered by those centre-rooted sequences and read off
-them, never built as trees or coded. free_trees and family_members
-build Trees from the same walk.
+alone, so it yields every tree's parents and degree counts with its
+levels. It is the one decoder of a level sequence: free_trees and
+family_members build Trees from its parents, and the verify census
+reads each witness's edges off them, never building or coding a tree.
 
 Every non-increasing positive n-tuple summing to 2(n - 1) is the degree
 sequence of some tree, so a family is a filter over the partitions of
@@ -37,44 +36,6 @@ from .trees import DegreeSequence, Tree, _adjacency, _peel_code
 from .trees import canonical_code  # noqa: F401  (looked up here by perfbench/tracer.py)
 
 DEFAULT_MAX_N = 18
-
-
-def _level_parents(levels) -> list[int]:
-    """Parent of each vertex of a level sequence (-1 at the root).
-
-    Vertex i sits at depth levels[i]; its parent is the latest earlier
-    vertex one level up. Anything that is not a rooted tree's preorder
-    level sequence is a ValueError.
-    """
-    n = len(levels)
-    if n == 0 or levels[0] != 0:
-        raise ValueError(f"malformed level sequence {list(levels)}: must start at level 0")
-    parents = [-1] * n
-    latest = [0] * n  # latest[d]: the last vertex seen at depth d
-    prev = 0
-    for i in range(1, n):
-        lev = levels[i]
-        if not 0 < lev <= prev + 1:
-            raise ValueError(f"malformed level sequence {list(levels)}: level {lev} at {i}")
-        parents[i] = latest[lev - 1]
-        latest[lev] = i
-        prev = lev
-    return parents
-
-
-def _level_degrees(levels) -> tuple[int, ...]:
-    """Degrees of a level sequence's tree, non-increasing."""
-    parents = _level_parents(levels)
-    degrees = [1] * len(parents)
-    degrees[0] = 0
-    for p in parents[1:]:
-        degrees[p] += 1
-    return tuple(sorted(degrees, reverse=True))
-
-
-def _tree_from_levels(levels) -> Tree:
-    parents = _level_parents(levels)
-    return Tree(len(parents), tuple((p, i) for i, p in enumerate(parents) if i))
 
 
 def _check_order(n: int) -> None:
@@ -104,6 +65,11 @@ def _degree_sequences(n: int) -> tuple[DegreeSequence, ...]:
                  for parts in _partitions(n - 2, n - 2))
 
 
+def _degree_counts(ds: DegreeSequence) -> bytes:
+    """counts[d]: the number of degree-d vertices, as the walk yields it."""
+    return bytes(map(ds.count, range(len(ds))))
+
+
 @lru_cache(maxsize=None)
 def _family(kind: str | None, n: int, param: int | None) -> tuple[DegreeSequence, ...]:
     """The family's degree sequences, ascending; kind None is every tree."""
@@ -112,11 +78,13 @@ def _family(kind: str | None, n: int, param: int | None) -> tuple[DegreeSequence
 
 
 def _level_sequences(n: int):
-    """Each n-vertex free tree as (levels, counts), in free_trees order.
+    """Each n-vertex free tree as (levels, counts, parents), in
+    free_trees order.
 
     levels is the tree's canonical level sequence, rooted at a centre;
-    counts[d] is its number of vertices of degree d (use _key_degrees
-    for the degrees). Both are bytes.
+    counts[d] is its number of vertices of degree d (_degree_counts of
+    its degree sequence); both are bytes. parents is the tuple of each
+    vertex's parent, -1 at the root, a copy that later trees leave alone.
 
     The walk is the constant-amortized-time successor of Wright,
     Richmond, Odlyzko and McKay (1986): the next rooted level sequence,
@@ -153,7 +121,7 @@ def _level_sequences(n: int):
             counts[d] -= 1
             counts[d + 1] += 1
             degrees[u] = d + 1
-        yield bytes(levels), bytes(counts)
+        yield bytes(levels), bytes(counts), tuple(parents)
         # Next rooted sequence: the last vertex above level 1 moves up to
         # its parent's level, and the suffix from it repeats the parent's
         # subtree.
@@ -199,19 +167,14 @@ def _repeat_parent(levels: list[int], p: int) -> None:
         levels[i] = levels[i - p + q]
 
 
-def _key_degrees(counts: bytes) -> tuple[int, ...]:
-    """The non-increasing degrees of a walk's degree counts."""
-    return tuple(d for d in range(len(counts) - 1, 0, -1) for _ in range(counts[d]))
-
-
 def free_trees(n: int):
     """Yield exactly one tree per isomorphism class of n-vertex trees.
 
     Deterministic order; pairwise distinct canonical codes. The cap
     DEFAULT_MAX_N guards against accidentally huge enumerations.
     """
-    for levels, _ in _level_sequences(n):
-        yield _tree_from_levels(levels)
+    for _, _, parents in _level_sequences(n):
+        yield Tree(n, tuple(zip(parents[1:], range(1, n))))
 
 
 def family_members(c: FamilyConstraint):
@@ -221,10 +184,10 @@ def family_members(c: FamilyConstraint):
     walk's degree counts are checked against the family's degree
     sequences, so only members are built as trees.
     """
-    members = {bytes(map(ds.count, range(c.n))) for ds in _family(c.kind, c.n, c.param)}
-    for levels, counts in _level_sequences(c.n):
+    members = set(map(_degree_counts, _family(c.kind, c.n, c.param)))
+    for _, counts, parents in _level_sequences(c.n):
         if counts in members:
-            yield _tree_from_levels(levels)
+            yield Tree(c.n, tuple(zip(parents[1:], range(1, c.n))))
 
 
 def _prufer_edges(seq: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:

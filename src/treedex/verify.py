@@ -13,14 +13,16 @@ read off one index value per degree sequence: each (n, index) keeps a
 memo that a sequence enters the first time a scanned family contains
 it. No tree is built for a verdict. A cell's witnesses, every tree of
 every optimal sequence, come from the level-sequence census only when
-the cell is written out (--report, --csv, --json), once per class. The
+the cell is written out (--report, --csv, --json): one walk per order
+keeps the trees of the winning classes and nothing of the others. The
 members are put in canonical code order by a key read off their
 centre-rooted level sequences, so no witness is coded, and each
-member's edge list is read off its level sequence; no Tree object is
-built. Each winning class is held once, as its edge texts and their
-JSON and CSV encodings. The writers join a cell's classes and write
-one cell at a time to the file they are given, so a report is never
-held whole in memory.
+member's edge list is read off the parents the walk carries; no Tree
+object is built. Each winning class is held once, as its edge texts
+and their JSON and CSV encodings. A class read before it was built is
+built with its whole order, in that order's one walk. The writers join
+a cell's classes and write one cell at a time to the file they are
+given, so a report is never held whole in memory.
 
 All outputs are deterministic: identical inputs produce byte-identical
 JSON and CSV documents (no timestamps or wall-clock data inside).
@@ -45,9 +47,9 @@ from .bounds import (
 )
 from .enumeration import (
     DEFAULT_MAX_N,
+    _degree_counts,
+    _degree_sequences,
     _family,
-    _key_degrees,
-    _level_parents,
     _level_sequences,
     free_trees,
 )
@@ -63,25 +65,6 @@ DEFAULT_ALPHA_GRID = (-1.0, -0.5, 0.5, 2.0, 3.0)
 DEFAULT_A_GRID = (0.2, 0.3, WINDOW_LOW_A + 0.01, 0.6, 0.9, 1.5, 2.0)
 # Orders covered by the balanced-count audit of full_report.
 _AUDIT_N_LO, _AUDIT_N_HI = 6, 14
-
-
-@lru_cache(maxsize=None)
-def _census(n: int) -> dict[tuple[int, ...], tuple[bytes, ...]]:
-    """Degree tuple -> level sequence of each tree in its class.
-
-    Keys ascend (a DegreeSequence equals its tuple, so it finds its
-    class), and each class keeps free_trees order. The walk carries
-    each tree's degree counts, so the trees are grouped by those and
-    each class's counts become its degrees once; no tree's parents or
-    degrees are derived again here. No tree is built either;
-    `_witnesses` builds a class when it is written out. Verdicts never
-    read the census.
-    """
-    classes: dict[bytes, list[bytes]] = {}
-    for levels, counts in _level_sequences(n):
-        classes.setdefault(counts, []).append(levels)
-    return dict(sorted((_key_degrees(counts), tuple(members))
-                       for counts, members in classes.items()))
 
 
 def _rank_key(levels: bytes) -> bytes:
@@ -119,31 +102,58 @@ class _ClassWitnesses(NamedTuple):
     csv_field: str  # ';' between edges, '|' between trees
 
 
-@lru_cache(maxsize=None)
-def _witnesses(ds: DegreeSequence) -> _ClassWitnesses:
-    """Edge texts of a census class, in canonical code order, with the
-    JSON items and CSV field the writers join across a cell's classes.
+def _census(n: int, wanted) -> dict[DegreeSequence, list[tuple[bytes, str]]]:
+    """Each wanted class of order n -> (_rank_key, edge text) of each
+    of its trees, in free_trees order, from one walk.
 
-    Members are ordered by `_rank_key`, so none is coded. A member's
-    edges are its (parent, child) pairs in ascending order, the edge
-    list Tree.edge_text writes (a parent precedes its children): a
-    stable sort of the children by parent, each edge's line read from
-    a table. No Tree is built.
+    A tree joins its class by the degree counts the walk carries, and
+    its edge text is read off the walk's parents: the (parent, child)
+    pairs in ascending order that Tree.edge_text writes, by a stable
+    sort of the children by parent, each line read from a table. No
+    Tree is built, nothing of the other trees is kept, and verdicts
+    never read the census.
     """
-    texts = []
-    for levels in sorted(_census(len(ds))[ds], key=_rank_key, reverse=True):
-        parents = _level_parents(levels)
-        children = sorted(range(1, len(parents)), key=parents.__getitem__)
-        texts.append("\n".join([_EDGE_LINES[parents[v]][v] for v in children]))
-    return _ClassWitnesses(tuple(texts), ",\n      ".join(map(json.dumps, texts)),
-                           "|".join(texts).replace("\n", ";"))
+    members = {ds: [] for ds in wanted}
+    by_counts = {_degree_counts(ds): held for ds, held in members.items()}
+    for levels, counts, parents in _level_sequences(n):
+        held = by_counts.get(counts)
+        if held is not None:
+            children = sorted(range(1, n), key=parents.__getitem__)
+            held.append((_rank_key(levels),
+                         "\n".join([_EDGE_LINES[parents[v]][v] for v in children])))
+    return members
+
+
+# The witnesses of every class built so far, by degree sequence.
+_WITNESSES: dict[DegreeSequence, _ClassWitnesses] = {}
+
+
+def _build(classes) -> None:
+    """Build each class not yet held, with one census walk per order:
+    its edge texts in canonical code order (descending `_rank_key`, so
+    none is coded) and the JSON items and CSV field the writers join."""
+    by_order: dict[int, set[DegreeSequence]] = {}
+    for ds in classes:
+        if ds not in _WITNESSES:
+            by_order.setdefault(len(ds), set()).add(ds)
+    for n, wanted in by_order.items():
+        for ds, members in _census(n, wanted).items():
+            texts = tuple(text for _, text in sorted(members, reverse=True))
+            _WITNESSES[ds] = _ClassWitnesses(texts, ",\n      ".join(map(json.dumps, texts)),
+                                             "|".join(texts).replace("\n", ";"))
+
+
+def _witnesses(ds: DegreeSequence) -> _ClassWitnesses:
+    """A class's witnesses; an unbuilt class is built with its whole order."""
+    if ds not in _WITNESSES:
+        _build(_degree_sequences(len(ds)))
+    return _WITNESSES[ds]
 
 
 def build_witnesses(reports) -> None:
     """Build the witnesses of every class that wins a cell of the
-    reports, so that writing them out only joins text."""
-    for ds in dict.fromkeys(ds for r in reports for ds in r.optimal_degseqs):
-        _witnesses(ds)
+    reports, and only those, so that writing them out only joins text."""
+    _build(ds for r in reports for ds in r.optimal_degseqs)
 
 
 @lru_cache(maxsize=None)

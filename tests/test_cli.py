@@ -425,7 +425,8 @@ class TestVerifyCommand:
             raise AssertionError("a tree was built for stdout")
 
         monkeypatch.setattr(treedex.Tree, "__post_init__", no_tree)
-        monkeypatch.setattr(treedex.verify, "_witnesses", no_tree)  # its cache may hold trees
+        monkeypatch.setattr(treedex.verify, "_witnesses", no_tree)  # its cache may hold classes
+        monkeypatch.setattr(treedex.verify, "_census", no_tree)
         code, out, err = run(capsys, "verify", "--theorems", "all", "--n", "6..10")
         assert code == 0 and "REFUTED" in out
         assert re.fullmatch(r"verify: \d+ cells in \d+\.\ds\n", err)
@@ -468,6 +469,35 @@ class TestVerifyCommand:
             digests = [hashlib.sha256(data).hexdigest()
                        for data in (proc.stdout, report.read_bytes(), csv_file.read_bytes())]
             assert digests == golden
+
+
+    def test_bytes_to_eighteen(self, tmp_path):
+        # sha256 of stdout, --report and --csv at the order cap, in a
+        # process of its own; the two files (186 MB) are hashed in chunks
+        # and removed here, since pytest keeps its last temporary folders
+        report, csv_file = tmp_path / "R", tmp_path / "C"
+        proc = subprocess.run(
+            [sys.executable, "-m", "treedex", "verify", "--theorems", "all", "--n", "6..18",
+             "--report", str(report), "--csv", str(csv_file)],
+            capture_output=True, timeout=600,
+        )
+        try:
+            assert proc.returncode == 0, proc.stderr
+            digests = [hashlib.sha256(proc.stdout).hexdigest()]
+            for path in (report, csv_file):
+                digest = hashlib.sha256()
+                with open(path, "rb") as f:
+                    for chunk in iter(lambda: f.read(1 << 20), b""):
+                        digest.update(chunk)
+                digests.append(digest.hexdigest())
+        finally:
+            report.unlink(missing_ok=True)
+            csv_file.unlink(missing_ok=True)
+        assert digests == [
+            "8334fc496fa1e2604f8a17633ae136e472394803020afbad84351a47478f119b",
+            "511b289790bf8d805a1ae2dd6fa14bde55a296675ab4e33c7290456ed4a2ea77",
+            "6e870f4566135b8bcda69d862d79c855c87c626b79802244a198f56d3bc0bf9d",
+        ]
 
 
 class TestUsage:

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 from conftest import all_free_trees, path_tree, star_tree
+from reference_levels import level_degrees, level_parents, tree_from_levels
 
 import treedex
 import treedex.enumeration as enumeration
 from treedex import (
+    DegreeSequence,
     FamilyConstraint,
     Tree,
     canonical_code,
@@ -23,13 +25,10 @@ from treedex import (
 )
 from treedex.bounds import family_param, family_params
 from treedex.enumeration import (
+    _degree_counts,
     _degree_sequences,
-    _key_degrees,
-    _level_degrees,
-    _level_parents,
     _level_sequences,
     _prufer_edges,
-    _tree_from_levels,
 )
 from treedex.verify import _census
 
@@ -80,28 +79,29 @@ MALFORMED_LEVELS = ((), (1,), (0, 0), (0, 2), (0, 1, 3), (0, 1, -1))
 class TestLevelSequences:
     def test_parents(self):
         # root, its two children, and a grandchild under the second child
-        assert _level_parents((0, 1, 1, 2)) == [-1, 0, 0, 2]
-        assert _level_parents(bytes((0, 1, 2, 1))) == [-1, 0, 1, 0]
+        assert level_parents((0, 1, 1, 2)) == [-1, 0, 0, 2]
+        assert level_parents(bytes((0, 1, 2, 1))) == [-1, 0, 1, 0]
 
     @pytest.mark.parametrize("levels", MALFORMED_LEVELS)
     def test_malformed_is_an_error(self, levels):
-        for helper in (_level_parents, _level_degrees, _tree_from_levels):
+        for helper in (level_parents, level_degrees, tree_from_levels):
             with pytest.raises(ValueError, match="malformed level sequence"):
                 helper(levels)
 
     def test_malformed_is_an_error_under_optimisation(self):
         script = (
-            "from treedex.enumeration import _level_parents\n"
+            "from reference_levels import level_parents\n"
             f"for levels in {MALFORMED_LEVELS!r}:\n"
             "    try:\n"
-            "        _level_parents(levels)\n"
+            "        level_parents(levels)\n"
             "    except ValueError:\n"
             "        continue\n"
             "    raise SystemExit(f'accepted {levels}')\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(treedex.__file__).parents[1]))
+        path = os.pathsep.join((str(Path(treedex.__file__).parents[1]), str(Path(__file__).parent)))
         proc = subprocess.run([sys.executable, "-O", "-c", script],
-                              capture_output=True, env=env, timeout=60)
+                              capture_output=True, env=dict(os.environ, PYTHONPATH=path),
+                              timeout=60)
         assert proc.returncode == 0, proc.stderr
 
 
@@ -161,20 +161,34 @@ def reference_level_sequences(n):
 class TestWalk:
     def test_levels_match_the_reference_walk(self):
         for n in range(2, 17):
-            assert [levels for levels, _ in _level_sequences(n)] == \
+            assert [levels for levels, _, _ in _level_sequences(n)] == \
                 list(reference_level_sequences(n)), n
 
     def test_degree_counts_match_the_levels(self):
         for n in range(2, 15):
-            for levels, counts in _level_sequences(n):
+            for levels, counts, _ in _level_sequences(n):
                 assert len(counts) == n and counts[0] == 0
-                assert _key_degrees(counts) == _level_degrees(levels), levels
+                assert counts == _degree_counts(DegreeSequence(level_degrees(levels))), levels
+
+    def test_parents_match_the_levels(self):
+        for n in range(2, 15):
+            for levels, _, parents in _level_sequences(n):
+                assert type(parents) is tuple
+                assert list(parents) == level_parents(levels), levels
+
+    def test_yielded_parents_are_not_rewritten(self):
+        # each tree's parents are its own copy: a caller that keeps them
+        # still reads that tree's after the walk has moved on
+        kept = [(levels, parents) for levels, _, parents in _level_sequences(9)]
+        assert len({parents for _, parents in kept}) == len(kept) == 47
+        assert all(list(parents) == level_parents(levels) for levels, parents in kept)
 
     def test_census_at_seventeen(self):
-        census = _census(17)
+        census = _census(17, _degree_sequences(17))
         assert sum(map(len, census.values())) == 48629  # OEIS A000055
-        assert tuple(census) == _degree_sequences(17)
-        assert all(len(levels) == 17 for members in census.values() for levels in members)
+        assert tuple(census) == _degree_sequences(17) and all(census.values())
+        assert all(len(key) == 17 and text.count("\n") == 15
+                   for members in census.values() for key, text in members)
 
 
 def heap_prufer_edges(seq, n):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import all_free_trees
+from reference_levels import level_parents, tree_from_levels
 
 import treedex.trees as trees_module
 import treedex.verify as verify
@@ -37,19 +38,20 @@ from treedex import (
 from treedex.bounds import THEOREM_FAMILY, THEOREM_NAMES
 from treedex.cli import main
 from treedex.enumeration import (
+    _degree_counts,
     _degree_sequences,
     _family,
-    _level_parents,
     _level_sequences,
-    _tree_from_levels,
 )
 from treedex.trees import _adjacency, _edge_text, _peel_code
 from treedex.verify import (
+    _WITNESSES,
     CSV_COLUMNS,
     _census,
     _rank_key,
     _values,
     _witnesses,
+    build_witnesses,
 )
 
 ALPHAS = (-1.0, 0.5, 2.0)
@@ -68,25 +70,49 @@ def eager_witnesses(n):
             for ds, trees in classes.items()}
 
 
-def peel_witnesses(ds):
-    """Edge texts of a census class in canonical code order, each member
-    coded from its sorted edge list's adjacency lists by the leaf peel."""
-    coded = []
-    for levels in _census(len(ds))[ds]:
-        edges = sorted((p, v) for v, p in enumerate(_level_parents(levels)) if v)
-        coded.append((_peel_code(_adjacency(len(levels), edges)), _edge_text(edges)))
-    return tuple(text for _, text in sorted(coded))
+def full_census(n):
+    """The census of every class of order n."""
+    return _census(n, _degree_sequences(n))
+
+
+def peel_witnesses(n, classes):
+    """Degree sequence -> edge texts of its trees in canonical code order,
+    for the given classes of order n: each tree's parents decoded from
+    its level sequence by the reference decoder, and each member coded
+    from its sorted edge list's adjacency lists by the leaf peel."""
+    wanted = {_degree_counts(ds): ds for ds in classes}
+    coded: dict = {ds: [] for ds in classes}
+    for levels, counts, _ in _level_sequences(n):
+        if counts in wanted:
+            edges = sorted((p, v) for v, p in enumerate(level_parents(levels)) if v)
+            coded[wanted[counts]].append((_peel_code(_adjacency(n, edges)), _edge_text(edges)))
+    return {ds: tuple(text for _, text in sorted(members)) for ds, members in coded.items()}
+
+
+class CountingCensus:
+    """Stands in for verify._census and records the order and classes of
+    each call."""
+
+    def __init__(self):
+        self.calls = []
+        self.results = []
+
+    def __call__(self, n, wanted):
+        wanted = set(wanted)
+        self.calls.append((n, wanted))
+        self.results.append(_census(n, wanted))
+        return self.results[-1]
 
 
 class TestCensus:
     def test_class_sizes_sum_to_tree_counts(self):
         for n, count in FREE_TREE_COUNTS.items():
-            assert sum(map(len, _census(n).values())) == count
+            assert sum(map(len, full_census(n).values())) == count
 
     def test_class_counts_match_trees(self):
         for n in range(2, 13):
             expected = Counter(t.degree_sequence() for t in all_free_trees(n))
-            census = _census(n)
+            census = full_census(n)
             assert list(census) == sorted(expected, key=lambda ds: ds.degrees)
             assert {ds: len(levels) for ds, levels in census.items()} == expected
 
@@ -97,27 +123,33 @@ class TestCensus:
 
     def test_rank_keys_descend_as_codes_ascend(self):
         for n in range(2, 16):
-            members = [levels for levels, _ in _level_sequences(n)]
+            members = [levels for levels, _, _ in _level_sequences(n)]
             assert len(set(map(_rank_key, members))) == len(members)
-            by_code = sorted(members, key=lambda levels: canonical_code(_tree_from_levels(levels)))
+            by_code = sorted(members, key=lambda levels: canonical_code(tree_from_levels(levels)))
             assert sorted(members, key=_rank_key, reverse=True) == by_code
 
     def test_witnesses_match_peel_reference(self):
         for n in range(2, 15):
-            for ds in _census(n):
-                assert _witnesses(ds).texts == peel_witnesses(ds)
+            for ds, expected in peel_witnesses(n, _degree_sequences(n)).items():
+                assert _witnesses(ds).texts == expected
         # the winning classes of verify-deep's largest orders
-        winners = {ds for theorem in THEOREM_NAMES for r in check_theorem(theorem, range(15, 18))
-                   for ds in r.optimal_degseqs}
-        assert {len(ds) for ds in winners} == {15, 16, 17}
-        for ds in winners:
-            assert _witnesses(ds).texts == peel_witnesses(ds)
+        reports = [r for theorem in THEOREM_NAMES for r in check_theorem(theorem, range(15, 18))]
+        build_witnesses(reports)
+        for n in (15, 16, 17):
+            winners = {ds for r in reports for ds in r.optimal_degseqs if len(ds) == n}
+            assert winners
+            for ds, expected in peel_witnesses(n, winners).items():
+                assert _witnesses(ds).texts == expected
 
 
 class TestPartitionEngine:
     def test_degree_sequences_are_the_census_classes(self):
+        # every tree's degree counts are those of one sequence, and every
+        # sequence has a tree
         for n in range(2, 15):
-            assert _degree_sequences(n) == tuple(_census(n))
+            census = full_census(n)
+            assert all(census.values())
+            assert sum(map(len, census.values())) == sum(1 for _ in _level_sequences(n))
 
     def test_one_sequence_per_partition(self):
         sympy = pytest.importorskip("sympy")
@@ -132,7 +164,7 @@ class TestPartitionEngine:
             oracle_extremum(FamilyConstraint("pt", 19, 3), "min", alpha=2)
 
     def test_verdicts_never_read_the_census(self, monkeypatch):
-        def no_census(n):
+        def no_census(*args):
             raise AssertionError("the census fed a verdict")
 
         def no_tree(self):
@@ -200,7 +232,7 @@ class TestPartitionEngine:
         for name in ("_peel_code", "_adjacency"):
             monkeypatch.setattr(trees_module, name, no_code)
             monkeypatch.setattr(verify, name, no_code, raising=False)
-        _witnesses.cache_clear()
+        _WITNESSES.clear()
         report = tmp_path / "report.json"
         assert main(["verify", "--theorems", "all", "--n", "6..9", "--report", str(report)]) == 0
         cells = json.loads(report.read_text(encoding="utf-8"))
@@ -215,6 +247,39 @@ class TestPartitionEngine:
                          for text in reference[ds])
         assert expected and probe.witness_edge_texts == expected
         assert "witness_edge_texts" not in vars(probe)  # read from the class cache, not kept
+
+
+class TestWitnessCache:
+    def test_reporting_run_walks_each_order_once(self, monkeypatch, capsys, tmp_path):
+        reports = [r for theorem in THEOREM_NAMES for r in check_theorem(theorem, range(6, 12))]
+        winners = {ds for r in reports for ds in r.optimal_degseqs}
+        census = CountingCensus()
+        monkeypatch.setattr(verify, "_census", census)
+        _WITNESSES.clear()
+        assert main(["verify", "--theorems", "all", "--n", "6..11",
+                     "--report", str(tmp_path / "R"), "--csv", str(tmp_path / "C")]) == 0
+        # one census per order, asked for the winning classes only, and the
+        # cache holds those alone
+        assert sorted(n for n, _ in census.calls) == list(range(6, 12))
+        assert all(set(result) == wanted for (_, wanted), result in zip(census.calls,
+                                                                          census.results))
+        assert set().union(*(wanted for _, wanted in census.calls)) == winners
+        assert set(_WITNESSES) == winners
+        assert len(winners) < sum(len(_degree_sequences(n)) for n in range(6, 12))
+
+    def test_unbuilt_class_walks_its_order_once(self, monkeypatch):
+        census = CountingCensus()
+        monkeypatch.setattr(verify, "_census", census)
+        _WITNESSES.clear()
+        reference = eager_witnesses(10)
+        first, *rest = _degree_sequences(10)
+        assert _witnesses(first).texts == reference[first]
+        # the first read builds every class of its order, in one walk
+        assert census.calls == [(10, set(_degree_sequences(10)))]
+        for ds in rest:
+            assert _witnesses(ds).texts == reference[ds]
+        build_witnesses(check_theorem("star", range(10, 11)))
+        assert len(census.calls) == 1
 
 
 class TestOracleExtremum:
@@ -424,20 +489,26 @@ class TestWriters:
     """reports_to_json and reports_to_csv against the schema's one encoding."""
 
     @pytest.mark.parametrize("case", WRITER_CASES)
-    def test_writers_equal_their_references(self, case, tmp_path):
+    def test_writers_equal_their_references(self, case, monkeypatch, tmp_path):
         reports = WRITER_CASES[case]()
         if case == "default-6..11":
             assert any(len(r.optimal_degseqs) > 1 for r in reports)
             assert {r.verdict for r in reports} == {CONFIRMED, REFUTED}
-        _witnesses.cache_clear()
+        census = CountingCensus()
+        monkeypatch.setattr(verify, "_census", census)
+        _WITNESSES.clear()
         document, table = written(reports_to_json, reports), written(reports_to_csv, reports)
         assert written(reports_to_json, reports) == document
         assert written(reports_to_csv, reports) == table
         # neither writer builds a cell's own witness tuple
         assert not any("witness_edge_texts" in vars(r) for r in reports)
-        # each winning class is built and encoded once, for both formats
-        classes = len({ds for r in reports for ds in r.optimal_degseqs})
-        assert _witnesses.cache_info().misses == classes
+        # each class is built and encoded once, for both formats: a winning
+        # class is built with its whole order, in one walk per order
+        orders = [n for n, _ in census.calls]
+        assert sorted(orders) == sorted({len(ds) for r in reports for ds in r.optimal_degseqs})
+        built = Counter(ds for _, wanted in census.calls for ds in wanted)
+        assert set(built.values()) <= {1}
+        assert set(built) == {ds for n in orders for ds in _degree_sequences(n)} == set(_WITNESSES)
 
         assert document == json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
         assert table == csv_reference(reports)
