@@ -83,8 +83,9 @@ def _level_sequences(n: int):
 
     levels is the tree's canonical level sequence, rooted at a centre;
     counts[d] is its number of vertices of degree d (_degree_counts of
-    its degree sequence); both are bytes. parents is the tuple of each
-    vertex's parent, -1 at the root, a copy that later trees leave alone.
+    its degree sequence); both are bytes. parents is the walk's own list
+    of each vertex's parent, -1 at the root: it holds this tree only
+    until the next is asked for, so a caller that keeps it copies it.
 
     The walk is the constant-amortized-time successor of Wright,
     Richmond, Odlyzko and McKay (1986): the next rooted level sequence,
@@ -121,7 +122,7 @@ def _level_sequences(n: int):
             counts[d] -= 1
             counts[d + 1] += 1
             degrees[u] = d + 1
-        yield bytes(levels), bytes(counts), tuple(parents)
+        yield bytes(levels), bytes(counts), parents
         # Next rooted sequence: the last vertex above level 1 moves up to
         # its parent's level, and the suffix from it repeats the parent's
         # subtree.

@@ -19,10 +19,11 @@ members are put in canonical code order by a key read off their
 centre-rooted level sequences, so no witness is coded, and each
 member's edge list is read off the parents the walk carries; no Tree
 object is built. Each winning class is held once, as its edge texts
-and their JSON and CSV encodings. A class read before it was built is
-built with its whole order, in that order's one walk. The writers join
-a cell's classes and write one cell at a time to the file they are
-given, so a report is never held whole in memory.
+and, once a writer has read them, their JSON and CSV encodings. A class
+read before it was built is built with its whole order, in that order's
+one walk, and the classes no writer reads keep their texts alone. The
+writers join a cell's classes and write one cell at a time to the file
+they are given, so a report is never held whole in memory.
 
 All outputs are deterministic: identical inputs produce byte-identical
 JSON and CSV documents (no timestamps or wall-clock data inside).
@@ -32,9 +33,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress, repeat
-from typing import NamedTuple
 
 from .bounds import (
     THEOREM_FAMILY,
@@ -94,12 +94,22 @@ _EDGE_LINES = tuple(tuple(_edge_text([(p, v)]) for v in range(DEFAULT_MAX_N))
                     for p in range(DEFAULT_MAX_N))
 
 
-class _ClassWitnesses(NamedTuple):
-    """A census class's witnesses and their two report encodings."""
+class _ClassWitnesses:
+    """A census class's witnesses and their two report encodings, each
+    encoded the first time a writer reads it."""
 
-    texts: tuple[str, ...]
-    json_items: str  # the texts as items of a report cell's JSON array
-    csv_field: str  # ';' between edges, '|' between trees
+    def __init__(self, texts: tuple[str, ...]):
+        self.texts = texts
+
+    @cached_property
+    def json_items(self) -> str:
+        """The texts as items of a report cell's JSON array."""
+        return ",\n      ".join(map(json.dumps, self.texts))
+
+    @cached_property
+    def csv_field(self) -> str:
+        """The texts with ';' between edges and '|' between trees."""
+        return "|".join(self.texts).replace("\n", ";")
 
 
 def _census(n: int, wanted) -> dict[DegreeSequence, list[tuple[bytes, str]]]:
@@ -131,16 +141,14 @@ _WITNESSES: dict[DegreeSequence, _ClassWitnesses] = {}
 def _build(classes) -> None:
     """Build each class not yet held, with one census walk per order:
     its edge texts in canonical code order (descending `_rank_key`, so
-    none is coded) and the JSON items and CSV field the writers join."""
+    none is coded)."""
     by_order: dict[int, set[DegreeSequence]] = {}
     for ds in classes:
         if ds not in _WITNESSES:
             by_order.setdefault(len(ds), set()).add(ds)
     for n, wanted in by_order.items():
         for ds, members in _census(n, wanted).items():
-            texts = tuple(text for _, text in sorted(members, reverse=True))
-            _WITNESSES[ds] = _ClassWitnesses(texts, ",\n      ".join(map(json.dumps, texts)),
-                                             "|".join(texts).replace("\n", ";"))
+            _WITNESSES[ds] = _ClassWitnesses(tuple(text for _, text in sorted(members, reverse=True)))
 
 
 def _witnesses(ds: DegreeSequence) -> _ClassWitnesses:
@@ -152,7 +160,8 @@ def _witnesses(ds: DegreeSequence) -> _ClassWitnesses:
 
 def build_witnesses(reports) -> None:
     """Build the witnesses of every class that wins a cell of the
-    reports, and only those, so that writing them out only joins text."""
+    reports, and only those, so that a writer only encodes each class
+    once and joins text."""
     _build(ds for r in reports for ds in r.optimal_degseqs)
 
 

@@ -278,6 +278,8 @@ class TestWitnessCache:
         assert census.calls == [(10, set(_degree_sequences(10)))]
         for ds in rest:
             assert _witnesses(ds).texts == reference[ds]
+        # a class no writer read keeps its texts alone, not encoded
+        assert all(vars(w).keys() == {"texts"} for w in _WITNESSES.values())
         build_witnesses(check_theorem("star", range(10, 11)))
         assert len(census.calls) == 1
 
@@ -509,6 +511,11 @@ class TestWriters:
         built = Counter(ds for _, wanted in census.calls for ds in wanted)
         assert set(built.values()) <= {1}
         assert set(built) == {ds for n in orders for ds in _degree_sequences(n)} == set(_WITNESSES)
+        # only the classes written out were encoded, each once and kept
+        winners = {ds for r in reports for ds in r.optimal_degseqs}
+        assert {ds for ds, w in _WITNESSES.items() if vars(w).keys() != {"texts"}} == winners
+        assert all(vars(_WITNESSES[ds]).keys() == {"texts", "json_items", "csv_field"}
+                   for ds in winners)
 
         assert document == json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
         assert table == csv_reference(reports)
