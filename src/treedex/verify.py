@@ -94,34 +94,28 @@ _EDGE_LINES = tuple(tuple(_edge_text([(p, v)]) for v in range(DEFAULT_MAX_N))
                     for p in range(DEFAULT_MAX_N))
 
 
-class _ClassWitnesses:
-    """A census class's witnesses and their two report encodings, each
-    encoded the first time a writer reads it."""
-
-    def __init__(self, texts: tuple[str, ...]):
-        self.texts = texts
+class _ClassWitnesses(tuple):
+    """A census class's edge texts, in canonical code order; each of
+    their two report encodings is made the first time a writer reads it."""
 
     @cached_property
-    def json_items(self) -> str:
-        """The texts as items of a report cell's JSON array."""
-        return ",\n      ".join(map(json.dumps, self.texts))
+    def json_items(self) -> str:  # the texts as items of a report cell's JSON array
+        return ",\n      ".join(map(json.dumps, self))
 
     @cached_property
-    def csv_field(self) -> str:
-        """The texts with ';' between edges and '|' between trees."""
-        return "|".join(self.texts).replace("\n", ";")
+    def csv_field(self) -> str:  # ';' between edges, '|' between trees
+        return "|".join(self).replace("\n", ";")
 
 
 def _census(n: int, wanted) -> dict[DegreeSequence, list[tuple[bytes, str]]]:
     """Each wanted class of order n -> (_rank_key, edge text) of each
     of its trees, in free_trees order, from one walk.
 
-    A tree joins its class by the degree counts the walk carries, and
-    its edge text is read off the walk's parents: the (parent, child)
-    pairs in ascending order that Tree.edge_text writes, by a stable
-    sort of the children by parent, each line read from a table. No
-    Tree is built, nothing of the other trees is kept, and verdicts
-    never read the census.
+    A tree joins its class by the degree counts the walk carries; its
+    edge text, the ascending (parent, child) pairs Tree.edge_text writes,
+    is read off the walk's parents by a stable sort of the children by
+    parent, each line from a table. No Tree is built, nothing of the
+    other trees is kept, and verdicts never read the census.
     """
     members = {ds: [] for ds in wanted}
     by_counts = {_degree_counts(ds): held for ds, held in members.items()}
@@ -148,7 +142,7 @@ def _build(classes) -> None:
             by_order.setdefault(len(ds), set()).add(ds)
     for n, wanted in by_order.items():
         for ds, members in _census(n, wanted).items():
-            _WITNESSES[ds] = _ClassWitnesses(tuple(text for _, text in sorted(members, reverse=True)))
+            _WITNESSES[ds] = _ClassWitnesses(text for _, text in sorted(members, reverse=True))
 
 
 def _witnesses(ds: DegreeSequence) -> _ClassWitnesses:
@@ -160,8 +154,7 @@ def _witnesses(ds: DegreeSequence) -> _ClassWitnesses:
 
 def build_witnesses(reports) -> None:
     """Build the witnesses of every class that wins a cell of the
-    reports, and only those, so that a writer only encodes each class
-    once and joins text."""
+    reports, and only those."""
     _build(ds for r in reports for ds in r.optimal_degseqs)
 
 
@@ -217,7 +210,7 @@ class TheoremReport:
     def witness_edge_texts(self) -> tuple[str, ...]:
         """Every tree of every optimal degree sequence, read from the
         class cache; the report keeps none of them."""
-        return tuple(text for ds in self.optimal_degseqs for text in _witnesses(ds).texts)
+        return tuple(text for ds in self.optimal_degseqs for text in _witnesses(ds))
 
     def scalar_fields(self) -> dict:
         """The report schema without its witnesses, in CSV_COLUMNS order."""

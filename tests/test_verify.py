@@ -119,7 +119,7 @@ class TestCensus:
     def test_witnesses_match_eager_reference(self):
         for n in range(2, 13):
             for ds, expected in eager_witnesses(n).items():
-                assert _witnesses(ds).texts == expected
+                assert _witnesses(ds) == expected
 
     def test_rank_keys_descend_as_codes_ascend(self):
         for n in range(2, 16):
@@ -131,7 +131,7 @@ class TestCensus:
     def test_witnesses_match_peel_reference(self):
         for n in range(2, 15):
             for ds, expected in peel_witnesses(n, _degree_sequences(n)).items():
-                assert _witnesses(ds).texts == expected
+                assert _witnesses(ds) == expected
         # the winning classes of verify-deep's largest orders
         reports = [r for theorem in THEOREM_NAMES for r in check_theorem(theorem, range(15, 18))]
         build_witnesses(reports)
@@ -139,7 +139,7 @@ class TestCensus:
             winners = {ds for r in reports for ds in r.optimal_degseqs if len(ds) == n}
             assert winners
             for ds, expected in peel_witnesses(n, winners).items():
-                assert _witnesses(ds).texts == expected
+                assert _witnesses(ds) == expected
 
 
 class TestPartitionEngine:
@@ -273,13 +273,13 @@ class TestWitnessCache:
         _WITNESSES.clear()
         reference = eager_witnesses(10)
         first, *rest = _degree_sequences(10)
-        assert _witnesses(first).texts == reference[first]
+        assert _witnesses(first) == reference[first]
         # the first read builds every class of its order, in one walk
         assert census.calls == [(10, set(_degree_sequences(10)))]
         for ds in rest:
-            assert _witnesses(ds).texts == reference[ds]
+            assert _witnesses(ds) == reference[ds]
         # a class no writer read keeps its texts alone, not encoded
-        assert all(vars(w).keys() == {"texts"} for w in _WITNESSES.values())
+        assert not any(map(vars, _WITNESSES.values()))
         build_witnesses(check_theorem("star", range(10, 11)))
         assert len(census.calls) == 1
 
@@ -513,9 +513,8 @@ class TestWriters:
         assert set(built) == {ds for n in orders for ds in _degree_sequences(n)} == set(_WITNESSES)
         # only the classes written out were encoded, each once and kept
         winners = {ds for r in reports for ds in r.optimal_degseqs}
-        assert {ds for ds, w in _WITNESSES.items() if vars(w).keys() != {"texts"}} == winners
-        assert all(vars(_WITNESSES[ds]).keys() == {"texts", "json_items", "csv_field"}
-                   for ds in winners)
+        assert {ds for ds, w in _WITNESSES.items() if vars(w)} == winners
+        assert all(vars(_WITNESSES[ds]).keys() == {"json_items", "csv_field"} for ds in winners)
 
         assert document == json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
         assert table == csv_reference(reports)
