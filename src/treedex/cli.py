@@ -27,7 +27,7 @@ from .bounds import (
     theorem_bound,
 )
 from .enumeration import family_members, free_trees
-from .indices import Index
+from .indices import KEYWORDS, Index
 from .trees import parse_tree, squeeze
 from .transforms import TRANSFORMS, predicted_delta
 from .verify import build_witnesses, check_theorem, reports_to_csv, reports_to_json
@@ -265,10 +265,9 @@ def _cmd_verify(args) -> int:
     if not args.json:
         for r in reports:
             param = "-" if r.param is None else r.param
-            name = "alpha" if r.index_kind == "r0" else "a"
             print(
                 f"{r.verdict} {r.theorem} n={r.n} param={param} "
-                f"{name}={r.index_param!r} {r.direction} "
+                f"{KEYWORDS[r.index_kind]}={r.index_param!r} {r.direction} "
                 f"bound={r.bound!r} oracle={r.oracle!r}"
             )
         confirmed = sum(1 for r in reports if r.verdict == "CONFIRMED")

@@ -29,6 +29,9 @@ WINDOW_LOW_A = (1.0 + math.sqrt(33.0)) / 16.0
 #   low        0 < a <= WINDOW_LOW_A
 REGIMES = ("convex", "concave", "above_one", "window", "low")
 
+# The keyword of each index kind's parameter, in the API and on the command line.
+KEYWORDS = {"r0": "alpha", "sei": "a"}
+
 # Comparison tolerances used across bounds and verification.
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -70,9 +73,8 @@ class Index:
     @classmethod
     @lru_cache(maxsize=None)
     def _of(cls, kind: str, x: float) -> Index:
-        name = "alpha" if kind == "r0" else "a"
         if not math.isfinite(x):
-            raise ValueError(f"{name} must be finite, got {x!r}")
+            raise ValueError(f"{KEYWORDS[kind]} must be finite, got {x!r}")
         if kind == "r0":
             if x == 0.0 or x == 1.0:
                 raise ValueError("alpha must be a real number other than 0 and 1")
@@ -84,7 +86,7 @@ class Index:
     @property
     def keyword(self) -> dict[str, float]:
         """The keyword form, {"alpha": x} or {"a": x}, of the public API."""
-        return {"alpha" if self.kind == "r0" else "a": self.x}
+        return {KEYWORDS[self.kind]: self.x}
 
     def claim(self, row: tuple):
         """This regime's entry of a row laid out in REGIMES order."""
@@ -92,7 +94,7 @@ class Index:
 
     def __str__(self) -> str:
         """The parameter as written on the command line: alpha=2.0 or a=0.5."""
-        return f"{'alpha' if self.kind == 'r0' else 'a'}={self.x!r}"
+        return f"{KEYWORDS[self.kind]}={self.x!r}"
 
     def term(self, d: int) -> float:
         """Contribution of one vertex of degree d; OverflowError naming

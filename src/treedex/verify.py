@@ -18,10 +18,10 @@ keeps the trees of the winning classes and nothing of the others. The
 members are put in canonical code order by a key read off their
 centre-rooted level sequences, so no witness is coded, and each
 member's edge list is read off the parents the walk carries; no Tree
-object is built. Each winning class is held once, as its edge texts
-and, once a writer has read them, their JSON and CSV encodings. A class
-read before it was built is built with its whole order, in that order's
-one walk, and the classes no writer reads keep their texts alone. The
+object is built. Each built class is held once, as a plain tuple of
+its edge texts; a class read before it was built is built with its
+whole order, in that order's one walk. A writer call encodes a class
+the first time it writes it, and its encodings go when it returns; the
 writers join a cell's classes and write one cell at a time to the file
 they are given, so a report is never held whole in memory.
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress, repeat
 
 from .bounds import (
@@ -94,19 +94,6 @@ _EDGE_LINES = tuple(tuple(_edge_text([(p, v)]) for v in range(DEFAULT_MAX_N))
                     for p in range(DEFAULT_MAX_N))
 
 
-class _ClassWitnesses(tuple):
-    """A census class's edge texts, in canonical code order; each of
-    their two report encodings is made the first time a writer reads it."""
-
-    @cached_property
-    def json_items(self) -> str:  # the texts as items of a report cell's JSON array
-        return ",\n      ".join(map(json.dumps, self))
-
-    @cached_property
-    def csv_field(self) -> str:  # ';' between edges, '|' between trees
-        return "|".join(self).replace("\n", ";")
-
-
 def _census(n: int, wanted) -> dict[DegreeSequence, list[tuple[bytes, str]]]:
     """Each wanted class of order n -> (_rank_key, edge text) of each
     of its trees, in free_trees order, from one walk.
@@ -128,8 +115,8 @@ def _census(n: int, wanted) -> dict[DegreeSequence, list[tuple[bytes, str]]]:
     return members
 
 
-# The witnesses of every class built so far, by degree sequence.
-_WITNESSES: dict[DegreeSequence, _ClassWitnesses] = {}
+# The edge texts of every class built so far, by degree sequence.
+_WITNESSES: dict[DegreeSequence, tuple[str, ...]] = {}
 
 
 def _build(classes) -> None:
@@ -142,10 +129,10 @@ def _build(classes) -> None:
             by_order.setdefault(len(ds), set()).add(ds)
     for n, wanted in by_order.items():
         for ds, members in _census(n, wanted).items():
-            _WITNESSES[ds] = _ClassWitnesses(text for _, text in sorted(members, reverse=True))
+            _WITNESSES[ds] = tuple(text for _, text in sorted(members, reverse=True))
 
 
-def _witnesses(ds: DegreeSequence) -> _ClassWitnesses:
+def _witnesses(ds: DegreeSequence) -> tuple[str, ...]:
     """A class's witnesses; an unbuilt class is built with its whole order."""
     if ds not in _WITNESSES:
         _build(_degree_sequences(len(ds)))
@@ -209,7 +196,9 @@ class TheoremReport:
     @property
     def witness_edge_texts(self) -> tuple[str, ...]:
         """Every tree of every optimal degree sequence, read from the
-        class cache; the report keeps none of them."""
+        class cache; the report keeps none of them. The first read of a
+        class not yet built walks its whole order and keeps every class's
+        texts (49 MB and 1.5 s at n = 18): call build_witnesses first."""
         return tuple(text for ds in self.optimal_degseqs for text in _witnesses(ds))
 
     def scalar_fields(self) -> dict:
@@ -422,12 +411,16 @@ def reports_to_json(reports, file) -> None:
     One cell is written at a time, so the document is never held. Each
     cell's scalar fields are dumped with an empty witnesses list,
     indented one level deeper to sit in the array, and the empty list is
-    replaced by its classes' cached JSON items.
+    replaced by its classes' JSON items, made once per class per call.
     """
+    encoded = {}
     for i, r in enumerate(reports):
         cell = json.dumps({**r.scalar_fields(), "witnesses": []}, indent=2)
         head, tail = cell.replace("\n", "\n  ").rsplit("[]", 1)
-        items = ",\n      ".join(_witnesses(ds).json_items for ds in r.optimal_degseqs)
+        for ds in r.optimal_degseqs:
+            if ds not in encoded:
+                encoded[ds] = ",\n      ".join(map(json.dumps, _witnesses(ds)))
+        items = ",\n      ".join(map(encoded.__getitem__, r.optimal_degseqs))
         file.write(f"{',' if i else '['}\n  {head}[\n      {items}\n    ]{tail}")
     file.write("\n]\n" if reports else "[]\n")
 
@@ -447,10 +440,14 @@ def reports_to_csv(reports, file) -> None:
     index, direction and verdict names come from fixed tables, numbers
     hold no ',', '"' or line break, and witnesses hold only digits,
     spaces, ';' and '|'. The header and then one row per cell are
-    written, each as it is made.
+    written, each as it is made; a class's field is made once per call.
     """
+    encoded = {}
     file.write(",".join(CSV_COLUMNS) + "\n")
     for r in reports:
         scalars = ",".join("" if v is None else str(v) for v in r.scalar_fields().values())
-        witnesses = "|".join(_witnesses(ds).csv_field for ds in r.optimal_degseqs)
+        for ds in r.optimal_degseqs:
+            if ds not in encoded:
+                encoded[ds] = "|".join(_witnesses(ds)).replace("\n", ";")
+        witnesses = "|".join(map(encoded.__getitem__, r.optimal_degseqs))
         file.write(f"{scalars},{witnesses}\n")

@@ -470,6 +470,24 @@ class TestVerifyCommand:
                        for data in (proc.stdout, report.read_bytes(), csv_file.read_bytes())]
             assert digests == golden
 
+    @pytest.mark.parametrize("option", ("--report", "--csv"))
+    def test_one_file_alone(self, tmp_path, option):
+        # a run that writes one format, in a fresh process, writes the
+        # bytes test_golden_bytes pins for n 6..14 (stdout, then the file)
+        golden = {
+            "--report": "65033741a216208ee70530be3c72d4f96153a151648057f058c8ca720298c780",
+            "--csv": "10a9b59461cb64c42b09a52353a944622f0ef4f719dcbb8dbc18412ea9f11793",
+        }
+        path = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "treedex", "verify", "--theorems", "all", "--n", "6..14",
+             option, str(path)],
+            capture_output=True, timeout=600,
+            env=dict(os.environ, PYTHONPATH=str(Path(treedex.__file__).parents[1])),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert [hashlib.sha256(data).hexdigest() for data in (proc.stdout, path.read_bytes())] == [
+            "30f2351214bae4a654c8a9a58ae53cc6c4505f0fddf065cd0ca56a3bab02441d", golden[option]]
 
     def test_bytes_to_eighteen(self, tmp_path):
         # sha256 of stdout, --report and --csv at the order cap, in a

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from conftest import all_free_trees
@@ -278,8 +279,9 @@ class TestWitnessCache:
         assert census.calls == [(10, set(_degree_sequences(10)))]
         for ds in rest:
             assert _witnesses(ds) == reference[ds]
-        # a class no writer read keeps its texts alone, not encoded
-        assert not any(map(vars, _WITNESSES.values()))
+        # each class is held as a plain tuple of its edge texts alone
+        assert all(type(w) is tuple and all(type(t) is str for t in w)
+                   for w in _WITNESSES.values())
         build_witnesses(check_theorem("star", range(10, 11)))
         assert len(census.calls) == 1
 
@@ -499,22 +501,49 @@ class TestWriters:
         census = CountingCensus()
         monkeypatch.setattr(verify, "_census", census)
         _WITNESSES.clear()
-        document, table = written(reports_to_json, reports), written(reports_to_csv, reports)
-        assert written(reports_to_json, reports) == document
-        assert written(reports_to_csv, reports) == table
+
+        def counted(writer):
+            """The writer's document, the reads of each class's texts and
+            the strings it dumped as JSON, in one call."""
+            reads, dumped = Counter(), Counter()
+
+            def read(ds):
+                reads[ds] += 1
+                return _witnesses(ds)
+
+            def dumps(obj, **kwargs):
+                if isinstance(obj, str):
+                    dumped[obj] += 1
+                return json.dumps(obj, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(verify, "_witnesses", read)
+                patch.setattr(verify, "json", SimpleNamespace(dumps=dumps))
+                return written(writer, reports), reads, dumped
+
+        json_call, csv_call = counted(reports_to_json), counted(reports_to_csv)
+        (document, *_), (table, *_) = json_call, csv_call
         # neither writer builds a cell's own witness tuple
         assert not any("witness_edge_texts" in vars(r) for r in reports)
-        # each class is built and encoded once, for both formats: a winning
-        # class is built with its whole order, in one walk per order
+        # each class is built once, for both formats: a winning class is
+        # built with its whole order, in one walk per order
         orders = [n for n, _ in census.calls]
         assert sorted(orders) == sorted({len(ds) for r in reports for ds in r.optimal_degseqs})
         built = Counter(ds for _, wanted in census.calls for ds in wanted)
         assert set(built.values()) <= {1}
         assert set(built) == {ds for n in orders for ds in _degree_sequences(n)} == set(_WITNESSES)
-        # only the classes written out were encoded, each once and kept
-        winners = {ds for r in reports for ds in r.optimal_degseqs}
-        assert {ds for ds, w in _WITNESSES.items() if vars(w)} == winners
-        assert all(vars(_WITNESSES[ds]).keys() == {"json_items", "csv_field"} for ds in winners)
+        # and held as a plain tuple of its edge texts
+        assert all(type(w) is tuple and all(type(t) is str for t in w)
+                   for w in _WITNESSES.values())
+        # a call reads the texts of each class it writes once, and encodes
+        # each text once: JSON dumps it, CSV dumps nothing
+        winners = Counter({ds for r in reports for ds in r.optimal_degseqs})
+        assert json_call[1] == csv_call[1] == winners
+        assert json_call[2] == Counter(text for ds in winners for text in _WITNESSES[ds])
+        assert not csv_call[2]
+        # no encoding outlives its call: the next call encodes them all again
+        assert counted(reports_to_json) == json_call
+        assert counted(reports_to_csv) == csv_call
 
         assert document == json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
         assert table == csv_reference(reports)
