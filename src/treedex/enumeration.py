@@ -15,9 +15,10 @@ family_members build Trees from its parents, and the verify census
 reads each witness's edges off them, never building or coding a tree.
 
 Every non-increasing positive n-tuple summing to 2(n - 1) is the degree
-sequence of some tree, so a family is a filter over the partitions of
-n - 2 (`_family`): the verify scan reads its sequences, family_members
-builds the trees whose degree counts match one of them.
+sequence of some tree, one per partition of n - 2. Each order has one
+table of them (`_families`), each made once and filed under all trees
+and under its parameter in each family: the verify scan reads a
+family's group, family_members builds the trees whose counts match it.
 
 A Prüfer-decode generator over all n^(n-2) labeled trees is included as
 the independent cross-check oracle for small n. The oracle's count
@@ -31,7 +32,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .bounds import FamilyConstraint, family_param
+from .bounds import FAMILY_PARAM, FamilyConstraint, family_param
 from .trees import DegreeSequence, Tree, _adjacency, _peel_code
 from .trees import canonical_code  # noqa: F401  (looked up here by perfbench/tracer.py)
 
@@ -55,26 +56,23 @@ def _partitions(m: int, largest: int):
 
 
 @lru_cache(maxsize=None)
-def _degree_sequences(n: int) -> tuple[DegreeSequence, ...]:
-    """Every degree sequence of an n-vertex tree, ascending by degrees.
-
-    One per partition of n - 2: add 1 to each part and pad with 1s.
-    """
+def _families(n: int) -> dict[tuple[str | None, int | None], tuple[DegreeSequence, ...]]:
+    """Every degree sequence of an n-vertex tree, ascending by degrees,
+    under (None, None), and each family's under (kind, param): one per
+    partition of n - 2 (add 1 to each part, pad with 1s), made once and
+    shared by every group it is filed in."""
     _check_order(n)
-    return tuple(DegreeSequence(tuple(p + 1 for p in parts) + (1,) * (n - len(parts)))
-                 for parts in _partitions(n - 2, n - 2))
+    groups = {}
+    for parts in _partitions(n - 2, n - 2):
+        ds = DegreeSequence(tuple(p + 1 for p in parts) + (1,) * (n - len(parts)))
+        for key in ((None, None), *((kind, family_param(kind, ds)) for kind in FAMILY_PARAM)):
+            groups.setdefault(key, []).append(ds)
+    return {key: tuple(group) for key, group in groups.items()}
 
 
 def _degree_counts(ds: DegreeSequence) -> bytes:
     """counts[d]: the number of degree-d vertices, as the walk yields it."""
     return bytes(map(ds.count, range(len(ds))))
-
-
-@lru_cache(maxsize=None)
-def _family(kind: str | None, n: int, param: int | None) -> tuple[DegreeSequence, ...]:
-    """The family's degree sequences, ascending; kind None is every tree."""
-    return tuple(ds for ds in _degree_sequences(n)
-                 if kind is None or family_param(kind, ds) == param)
 
 
 def _level_sequences(n: int):
@@ -185,7 +183,7 @@ def family_members(c: FamilyConstraint):
     walk's degree counts are checked against the family's degree
     sequences, so only members are built as trees.
     """
-    members = set(map(_degree_counts, _family(c.kind, c.n, c.param)))
+    members = set(map(_degree_counts, _families(c.n)[c.kind, c.param]))
     for _, counts, parents in _level_sequences(c.n):
         if counts in members:
             yield Tree(c.n, tuple(zip(parents[1:], range(1, c.n))))

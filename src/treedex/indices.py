@@ -12,7 +12,7 @@ plain zeroth-order connectivity index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .trees import Tree
@@ -57,12 +57,14 @@ class Index:
     Build it with Index.of, the only place that validates parameters.
     It keeps what it builds, keyed by (kind, float x) however the keyword
     was written, so a repeated call (the keyword functions below, once
-    per verify cell) gets the held Index back.
+    per verify cell) gets the held Index back. term holds the formulas;
+    an Index keeps each degree's term once of_degseq has computed it.
     """
 
     kind: str
     x: float
     regime: str
+    _terms: dict[int, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, *, alpha: float | None = None, a: float | None = None) -> Index:
@@ -108,19 +110,17 @@ class Index:
         return value
 
     def of_degseq(self, d) -> float:
-        """Sum of the terms; OverflowError when it exceeds the float range."""
-        x = self.x
+        """Sum of the terms of a sequence of degrees, each distinct
+        degree's term computed once per Index and largest first, so an
+        overflowing term names the largest degree; OverflowError when a
+        term or the sum exceeds the float range."""
+        d = tuple(d)  # read twice, so an iterator must not run dry
+        for v in sorted(set(d).difference(self._terms), reverse=True):
+            self._terms[v] = self.term(v)
         try:
-            if self.kind == "r0":
-                total = math.fsum(v**x for v in d)
-            else:
-                total = math.fsum(v * x**v for v in d)
-        except OverflowError:
-            total = math.inf
-        if total == math.inf:
-            self.term(max(d))  # wherever a term can overflow, terms grow with d
-            raise OverflowError(f"{self}: the sum of the terms is infinite")
-        return total
+            return math.fsum(map(self._terms.__getitem__, d))
+        except OverflowError:  # only a sum of finite terms is left to overflow
+            raise OverflowError(f"{self}: the sum of the terms is infinite") from None
 
     def of_tree(self, t: Tree) -> float:
         if t.n < 2:

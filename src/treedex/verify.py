@@ -8,7 +8,7 @@ sequence. Cells that fail are reported as REFUTED with witnesses;
 refutations are data, not errors.
 
 Both indices depend only on the degree sequence, and a family is a
-filter over degree sequences (enumeration._family), so a verdict is
+group of its order's one table (enumeration._families), so a verdict is
 read off one index value per degree sequence: each (n, index) keeps a
 memo that a sequence enters the first time a scanned family contains
 it. No tree is built for a verdict. A cell's witnesses, every tree of
@@ -48,8 +48,7 @@ from .bounds import (
 from .enumeration import (
     DEFAULT_MAX_N,
     _degree_counts,
-    _degree_sequences,
-    _family,
+    _families,
     _level_sequences,
     free_trees,
 )
@@ -135,7 +134,7 @@ def _build(classes) -> None:
 def _witnesses(ds: DegreeSequence) -> tuple[str, ...]:
     """A class's witnesses; an unbuilt class is built with its whole order."""
     if ds not in _WITNESSES:
-        _build(_degree_sequences(len(ds)))
+        _build(_families(len(ds))[None, None])
     return _WITNESSES[ds]
 
 
@@ -152,9 +151,7 @@ def _values(n: int, index: Index) -> dict[DegreeSequence, float]:
 
 
 def _scan(kind: str | None, n: int, param: int | None, direction: str, index: Index):
-    family = _family(kind, n, param)
-    if not family:
-        raise ValueError(f"empty family {kind}({n}, {param})")
+    family = _families(n)[kind, param]  # a group is never empty
     memo = _values(n, index)
     values = []
     for ds in family:
@@ -414,6 +411,7 @@ def reports_to_json(reports, file) -> None:
     replaced by its classes' JSON items, made once per class per call.
     """
     encoded = {}
+    i = -1  # the last cell written
     for i, r in enumerate(reports):
         cell = json.dumps({**r.scalar_fields(), "witnesses": []}, indent=2)
         head, tail = cell.replace("\n", "\n  ").rsplit("[]", 1)
@@ -422,7 +420,7 @@ def reports_to_json(reports, file) -> None:
                 encoded[ds] = ",\n      ".join(map(json.dumps, _witnesses(ds)))
         items = ",\n      ".join(map(encoded.__getitem__, r.optimal_degseqs))
         file.write(f"{',' if i else '['}\n  {head}[\n      {items}\n    ]{tail}")
-    file.write("\n]\n" if reports else "[]\n")
+    file.write("[]\n" if i < 0 else "\n]\n")
 
 
 CSV_COLUMNS = ("theorem", "n", "param", "index", "index_param", "direction",

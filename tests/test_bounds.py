@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from conftest import is_caterpillar, path_tree
 
@@ -227,6 +229,35 @@ class TestEqualitySequences:
                     degs = bv.equality_degseq.degrees
                     assert len(degs) == n
                     assert sum(degs) == 2 * (n - 1)
+
+
+class TestClosedFormsExactly:
+    def test_closed_forms_are_exact_sums(self):
+        # Each hand-written closed form, called with a symbol and its float
+        # literals read as exact rationals, is exactly the index summed
+        # over the equality sequence, as a function of alpha or a.
+        sympy = pytest.importorskip("sympy")
+        alpha, a = sympy.Symbol("alpha", real=True), sympy.Symbol("a", positive=True)
+        terms = {"r0": (alpha, lambda d: sympy.Integer(d) ** alpha), "sei": (a, lambda d: d * a**d)}
+        cases = 0
+        for theorem in THEOREM_NAMES:
+            th = bounds._THEOREMS[theorem]
+            for kind, (x, term) in terms.items():
+                closed_form = getattr(th, kind)
+                if closed_form is None:  # pt-balanced sums its sequence
+                    assert theorem == "pt-balanced"
+                    continue
+                for n in range(6, 25):
+                    for param in family_params(theorem, n):
+                        value = closed_form(n, param, x)
+                        value = value.xreplace({f: sympy.Rational(f)
+                                                for f in value.atoms(sympy.Float)})
+                        ds = bounds._equality_degseq(theorem, n, param)
+                        exact = sum(m * term(d) for d, m in Counter(ds).items())
+                        assert sympy.expand(value - exact) == 0, (theorem, kind, n, param)
+                        cases += 1
+        assert cases == 2 * sum(len(family_params(theorem, n)) for n in range(6, 25)
+                                for theorem in THEOREM_NAMES if theorem != "pt-balanced")
 
 
 class TestConstructExtremal:

@@ -26,7 +26,7 @@ from treedex import (
 from treedex.bounds import family_param, family_params
 from treedex.enumeration import (
     _degree_counts,
-    _degree_sequences,
+    _families,
     _level_sequences,
     _prufer_edges,
 )
@@ -176,9 +176,9 @@ class TestWalk:
                 assert parents == level_parents(levels), levels
 
     def test_census_at_seventeen(self):
-        census = _census(17, _degree_sequences(17))
+        census = _census(17, _families(17)[None, None])
         assert sum(map(len, census.values())) == 48629  # OEIS A000055
-        assert tuple(census) == _degree_sequences(17) and all(census.values())
+        assert tuple(census) == _families(17)[None, None] and all(census.values())
         assert all(len(key) == 17 and text.count("\n") == 15
                    for members in census.values() for key, text in members)
 

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from conftest import path_tree, spider, star_tree, trees_up_to
@@ -205,6 +206,30 @@ class TestIndexTerms:
         assert index.keyword == kw
         for t in trees_up_to(7):
             assert values_close(index.of_degseq(t.degrees), sum(index.term(d) for d in t.degrees))
+
+    @pytest.mark.parametrize("fields, formula", [
+        (("r0", 2.5, "convex"), lambda d: d**2.5),
+        (("sei", 0.7, "window"), lambda d: d * 0.7**d),
+    ], ids=["r0", "sei"])
+    def test_sums_each_degree_term_once(self, fields, formula, monkeypatch):
+        # of_degseq has no formula of its own: it sums Index.term, computed
+        # once per distinct degree for the life of the Index
+        index = Index(*fields)  # not the held Index.of value: no term computed yet
+        calls = Counter()
+        term = Index.term
+
+        def counting(self, d):
+            calls[d] += 1
+            return term(self, d)
+
+        monkeypatch.setattr(Index, "term", counting)
+        for degrees, new in (((4, 3, 2, 2, 2, 1, 1, 1, 1, 1), (4, 3, 2, 1)),
+                             ((5, 4, 1, 1, 1, 1, 1, 1, 1), (5,)),
+                             ((4, 3, 2, 2, 2, 1, 1, 1, 1, 1), ())):
+            calls.clear()
+            assert index.of_degseq(degrees) == math.fsum(map(formula, degrees))
+            assert calls == Counter(new)
+        assert index.of_degseq(iter(degrees)) == index.of_degseq(degrees)
 
     @pytest.mark.parametrize("kw, degrees, message", [
         ({"alpha": 1000}, (4, 1, 1, 1, 1), "alpha=1000.0 at degree 4"),  # pow raises

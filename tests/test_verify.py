@@ -11,6 +11,7 @@ import pytest
 from conftest import all_free_trees
 from reference_levels import level_parents, tree_from_levels
 
+import treedex.enumeration as enumeration
 import treedex.trees as trees_module
 import treedex.verify as verify
 from treedex import (
@@ -18,6 +19,7 @@ from treedex import (
     DEFAULT_A_GRID,
     DEFAULT_ALPHA_GRID,
     REFUTED,
+    DegreeSequence,
     FamilyConstraint,
     Index,
     Tree,
@@ -40,8 +42,7 @@ from treedex.bounds import THEOREM_FAMILY, THEOREM_NAMES
 from treedex.cli import main
 from treedex.enumeration import (
     _degree_counts,
-    _degree_sequences,
-    _family,
+    _families,
     _level_sequences,
 )
 from treedex.trees import _adjacency, _edge_text, _peel_code
@@ -73,7 +74,7 @@ def eager_witnesses(n):
 
 def full_census(n):
     """The census of every class of order n."""
-    return _census(n, _degree_sequences(n))
+    return _census(n, _families(n)[None, None])
 
 
 def peel_witnesses(n, classes):
@@ -131,7 +132,7 @@ class TestCensus:
 
     def test_witnesses_match_peel_reference(self):
         for n in range(2, 15):
-            for ds, expected in peel_witnesses(n, _degree_sequences(n)).items():
+            for ds, expected in peel_witnesses(n, _families(n)[None, None]).items():
                 assert _witnesses(ds) == expected
         # the winning classes of verify-deep's largest orders
         reports = [r for theorem in THEOREM_NAMES for r in check_theorem(theorem, range(15, 18))]
@@ -152,15 +153,46 @@ class TestPartitionEngine:
             assert all(census.values())
             assert sum(map(len, census.values())) == sum(1 for _ in _level_sequences(n))
 
+    def test_census_matches_networkx(self):
+        # a second generator: the class sizes of networkx's free trees
+        nx = pytest.importorskip("networkx")
+        for n in range(2, 17):
+            expected = Counter(DegreeSequence(d for _, d in g.degree())
+                               for g in nx.nonisomorphic_trees(n))
+            assert {ds: len(members) for ds, members in full_census(n).items()} == expected
+            assert all(expected[ds] for ds in _families(n)[None, None])
+
+    def test_one_table_per_order(self, monkeypatch):
+        # each sequence is made once, asked for each family parameter once,
+        # and shared by every group of its order
+        calls = Counter()
+        family_param = enumeration.family_param
+
+        def counting(kind, ds):
+            calls[kind, ds] += 1
+            return family_param(kind, ds)
+
+        monkeypatch.setattr(enumeration, "family_param", counting)
+        _families.cache_clear()
+        orders = range(6, 13)
+        for theorem in THEOREM_NAMES:
+            check_theorem(theorem, orders)
+        assert set(calls.values()) == {1}
+        assert set(calls) == {(kind, ds) for kind in ("pt", "st", "bt") for n in orders
+                              for ds in _families(n)[None, None]}
+        for n in orders:
+            made = set(map(id, _families(n)[None, None]))
+            assert all(id(ds) in made for group in _families(n).values() for ds in group)
+
     def test_one_sequence_per_partition(self):
         sympy = pytest.importorskip("sympy")
         for n in range(2, 19):
-            assert len(_degree_sequences(n)) == sympy.partition(n - 2)
+            assert len(_families(n)[None, None]) == sympy.partition(n - 2)
 
     def test_order_cap(self):
         for n in (1, 19):
             with pytest.raises(ValueError, match=r"n must be in 2\.\.18"):
-                _degree_sequences(n)
+                _families(n)
         with pytest.raises(ValueError, match=r"n must be in 2\.\.18"):
             oracle_extremum(FamilyConstraint("pt", 19, 3), "min", alpha=2)
 
@@ -194,7 +226,7 @@ class TestPartitionEngine:
         for theorem in ("pt-spider", "pt-balanced", "star", "pt-spider"):
             check_theorem(theorem, range(6, 10), alpha_grid=(2.0, 3.0), a_grid=())
         expected = {(x, ds.degrees) for x in (2.0, 3.0) for n in range(6, 10)
-                    for ds in _degree_sequences(n)}
+                    for ds in _families(n)[None, None]}
         assert set(calls) == expected
         assert set(calls.values()) == {1}
 
@@ -266,17 +298,17 @@ class TestWitnessCache:
                                                                           census.results))
         assert set().union(*(wanted for _, wanted in census.calls)) == winners
         assert set(_WITNESSES) == winners
-        assert len(winners) < sum(len(_degree_sequences(n)) for n in range(6, 12))
+        assert len(winners) < sum(len(_families(n)[None, None]) for n in range(6, 12))
 
     def test_unbuilt_class_walks_its_order_once(self, monkeypatch):
         census = CountingCensus()
         monkeypatch.setattr(verify, "_census", census)
         _WITNESSES.clear()
         reference = eager_witnesses(10)
-        first, *rest = _degree_sequences(10)
+        first, *rest = _families(10)[None, None]
         assert _witnesses(first) == reference[first]
         # the first read builds every class of its order, in one walk
-        assert census.calls == [(10, set(_degree_sequences(10)))]
+        assert census.calls == [(10, set(_families(10)[None, None]))]
         for ds in rest:
             assert _witnesses(ds) == reference[ds]
         # each class is held as a plain tuple of its edge texts alone
@@ -390,10 +422,33 @@ class TestCheckTheorem:
         assert Fraction(repr(0.6)) == a
         for r in multi:
             exact = {ds: sum(d * a ** d for d in ds)
-                     for ds in _family(THEOREM_FAMILY[r.theorem], r.n, r.param)}
+                     for ds in _families(r.n)[THEOREM_FAMILY[r.theorem], r.param]}
             best = (min if r.direction == "min" else max)(exact.values())
             assert tuple(ds for ds, value in exact.items() if value == best) == \
                 r.optimal_degseqs, (r.theorem, r.n, r.param)
+
+    def test_winners_are_the_exact_optimisers(self):
+        # Every cell at n 6..17 on the default a-grid and integer alphas:
+        # each a read as the decimal it is written as, the exact optimiser
+        # set of the family is the cell's winner set.
+        alphas = (-1.0, 2.0, 3.0)
+        exact = {}
+        cells = 0
+        for r in all_theorems(range(6, 18), alpha_grid=alphas, a_grid=DEFAULT_A_GRID):
+            family = _families(r.n)[THEOREM_FAMILY[r.theorem], r.param]
+            values = exact.setdefault((r.n, r.index_kind, r.index_param), {})
+            for ds in family:
+                if ds not in values:
+                    if r.index_kind == "r0":
+                        values[ds] = sum(Fraction(d) ** int(r.index_param) for d in ds)
+                    else:
+                        a = Fraction(repr(r.index_param))
+                        values[ds] = sum(d * a**d for d in ds)
+            best = (min if r.direction == "min" else max)(values[ds] for ds in family)
+            assert tuple(ds for ds in family if values[ds] == best) == r.optimal_degseqs, (
+                r.theorem, r.n, r.param, r.index_param)
+            cells += 1
+        assert cells == 3750
 
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):
@@ -531,7 +586,8 @@ class TestWriters:
         assert sorted(orders) == sorted({len(ds) for r in reports for ds in r.optimal_degseqs})
         built = Counter(ds for _, wanted in census.calls for ds in wanted)
         assert set(built.values()) <= {1}
-        assert set(built) == {ds for n in orders for ds in _degree_sequences(n)} == set(_WITNESSES)
+        assert set(built) == {ds for n in orders
+                              for ds in _families(n)[None, None]} == set(_WITNESSES)
         # and held as a plain tuple of its edge texts
         assert all(type(w) is tuple and all(type(t) is str for t in w)
                    for w in _WITNESSES.values())
@@ -563,6 +619,14 @@ class TestWriters:
             with open(path, "w", encoding="utf-8", newline="") as f:
                 assert writer(reports, f) is None
             assert path.read_bytes() == text.encode()
+
+    def test_iterators_write_the_bytes_of_lists(self):
+        # the JSON writer closes on whether it wrote a cell, not on the
+        # truth of what it was given
+        assert written(reports_to_json, iter([])) == "[]\n"
+        reports = all_theorems(range(6, 9))
+        for writer in (reports_to_json, reports_to_csv):
+            assert written(writer, (r for r in reports)) == written(writer, reports)
 
     def test_peak_memory_below_a_quarter_of_the_document(self, tmp_path):
         # the joined string alone would be more than the whole document
