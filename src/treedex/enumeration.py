@@ -10,9 +10,12 @@ order, path first, star last, with no dedup set. Each step rewrites
 only a suffix of the levels, and the walk keeps each tree's parents,
 degrees and count of vertices per degree up to date over that suffix
 alone, so it yields every tree's parents and degree counts with its
-levels. It is the one decoder of a level sequence: free_trees and
-family_members build Trees from its parents, and the verify census
-reads each witness's edges off them, never building or coding a tree.
+levels. It keeps what its canonical-rooting test reads between steps
+too, so a step costs its rewritten suffix alone (2.0 vertices on
+average at n = 17). It is the one decoder of a level sequence:
+free_trees and family_members build Trees from its parents, and the
+verify census reads each witness's edges off them, never building or
+coding a tree.
 
 Every non-increasing positive n-tuple summing to 2(n - 1) is the degree
 sequence of some tree, one per partition of n - 2. Each order has one
@@ -30,7 +33,7 @@ labeled_trees_prufer still yields validated Trees.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 
 from .bounds import FAMILY_PARAM, FamilyConstraint, family_param
 from .trees import DegreeSequence, Tree, _adjacency, _peel_code
@@ -89,37 +92,47 @@ def _level_sequences(n: int):
     Richmond, Odlyzko and McKay (1986): the next rooted level sequence,
     or, when that does not root its free tree canonically, a jump to the
     next one that does. A step rewrites only a suffix of the levels, from
-    its first changed position p, so only those vertices are dropped and
-    re-added. Each of them is dropped and re-added as a leaf, so its own
-    count stays at degree 1 and only its parent's degree moves.
+    its first changed position p, so only those vertices can change
+    parent. A vertex that does is moved from its old parent to its new
+    one, whose degrees and counts alone change.
+
+    The canonical test reads the root's second child m, the first
+    subtree's depth and rest[i], the running maximum of levels[m:i + 1];
+    the walk keeps all three between steps. A rooted step that starts
+    after m updates rest over its suffix, and any other step or jump
+    recomputes them. With each pivot's parent read off parents, a step
+    costs O(n - p), 2.0 vertices on average at n = 17.
     """
     _check_order(n)
     levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))  # the path
-    # Start from the star's state, so the first step re-adds every vertex.
+    # Start from the star's state: the first step moves each vertex to its
+    # parent in the path.
     parents = [-1] + [0] * (n - 1)
     degrees = [n - 1] + [1] * (n - 1)
     counts = [0] * n
     counts[1] += n - 1
     counts[n - 1] += 1
     p = 1
+    m = n  # no bookkeeping yet: the first step computes it
+    rest = [0] * n  # rest[i]: max(levels[m:i + 1]), for i >= m
     while True:
-        # drop the vertices from p on, then add them at their new levels
-        for u in parents[p:]:
-            d = degrees[u]
-            counts[d] -= 1
-            counts[d - 1] += 1
-            degrees[u] = d - 1
+        # move each vertex from p on to its parent at its new level
         for v in range(p, n):
             lev = levels[v]
             u = v - 1
             while levels[u] >= lev:  # climb to the latest vertex one level up
                 u = parents[u]
-            parents[v] = u
-            degrees[v] = 1
-            d = degrees[u]
-            counts[d] -= 1
-            counts[d + 1] += 1
-            degrees[u] = d + 1
+            w = parents[v]
+            if u != w:
+                parents[v] = u
+                d = degrees[w]
+                counts[d] -= 1
+                counts[d - 1] += 1
+                degrees[w] = d - 1
+                d = degrees[u]
+                counts[d] -= 1
+                counts[d + 1] += 1
+                degrees[u] = d + 1
         yield bytes(levels), bytes(counts), parents
         # Next rooted sequence: the last vertex above level 1 moves up to
         # its parent's level, and the suffix from it repeats the parent's
@@ -129,39 +142,52 @@ def _level_sequences(n: int):
             p -= 1
         if p == 0:
             return
-        _repeat_parent(levels, p)
+        _repeat_parent(levels, p, parents[p])
         # The root's first subtree ends before its second child m (a
-        # centre-rooted tree keeps one through a rooted step). The rooting
-        # is the free tree's canonical one when the rest is deeper than
-        # that subtree, or as deep and the subtree is shorter, or as long
-        # and not greater as a list (built only then).
-        m = levels.index(1, 2)
-        top = max(levels[1:m])
-        rest_top = max(levels[m:])
+        # centre-rooted tree keeps one through a rooted step) and is top
+        # deep. A step past m keeps both and rest[:p], and it repeats
+        # levels from p's parent, at m or later: rest[p:] all take
+        # rest[p - 1].
+        if p > m:
+            rest_top = rest[p - 1]
+            rest[p:] = [rest_top] * (n - p)
+        else:
+            m, top = _first_subtree(levels, rest)
+            rest_top = rest[-1]
+        # The rooting is the free tree's canonical one when the rest is
+        # deeper than the first subtree, or as deep and the subtree is
+        # shorter, or as long and not greater as a list (built only then).
         if rest_top < top - 1 or (rest_top == top - 1 and (
                 2 * m > n + 2 or (2 * m == n + 2
                                   and [lev - 1 for lev in levels[1:m]] > [0, *levels[m:]]))):
             # Jump: advance at the subtree's last vertex j. If j was deeper
             # than level 2, the subtree now holds every vertex but the
             # root, and its last h vertices become a path from level 1 to
-            # h, its deepest level. p stays the first position changed
-            # since the last tree.
+            # h, its deepest level. j is before p (m is at most p), so its
+            # parent is still the last tree's, and p stays the first
+            # position changed since that tree.
             j = m - 1
             deep = levels[j] > 2
-            _repeat_parent(levels, j)
+            _repeat_parent(levels, j, parents[j])
             if deep:
                 h = max(levels)
                 levels[n - h:] = range(1, h + 1)
                 j = min(j, n - h)
             p = min(p, j)
+            m, top = _first_subtree(levels, rest)
 
 
-def _repeat_parent(levels: list[int], p: int) -> None:
+def _first_subtree(levels: list[int], rest: list[int]) -> tuple[int, int]:
+    # The root's second child m and the first subtree's depth, with
+    # rest[m:] filled with the running maximum of levels[m:].
+    m = levels.index(1, 2)
+    rest[m:] = accumulate(levels[m:], max)
+    return m, max(levels[1:m])
+
+
+def _repeat_parent(levels: list[int], p: int, q: int) -> None:
     # Rooted-order successor at pivot p: from p on, repeat the levels of
     # the subtree of p's parent q (p itself moves to q's level).
-    q = p - 1
-    while levels[q] != levels[p] - 1:
-        q -= 1
     for i in range(p, len(levels)):
         levels[i] = levels[i - p + q]
 

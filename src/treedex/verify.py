@@ -22,8 +22,8 @@ object is built. Each built class is held once, as a plain tuple of
 its edge texts; a class read before it was built is built with its
 whole order, in that order's one walk. A writer call encodes a class
 the first time it writes it, and its encodings go when it returns; the
-writers join a cell's classes and write one cell at a time to the file
-they are given, so a report is never held whole in memory.
+writers write one cell at a time to the file they are given, so a
+report is never held whole in memory.
 
 All outputs are deterministic: identical inputs produce byte-identical
 JSON and CSV documents (no timestamps or wall-clock data inside).
@@ -400,26 +400,38 @@ def full_report(n_max: int = 14, alpha_grid=DEFAULT_ALPHA_GRID, a_grid=DEFAULT_A
     }
 
 
+def _json_scalar(value) -> str:
+    """json.dumps(value) for a scalar field: a name from a fixed table,
+    which holds nothing to escape, an int, None or a finite float."""
+    if value is None:
+        return "null"
+    return f'"{value}"' if type(value) is str else repr(value)
+
+
 def reports_to_json(reports, file) -> None:
     """Write the JSON array of cell objects (the report schema) to the
     file, with the bytes of
     json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n".
 
-    One cell is written at a time, so the document is never held. Each
-    cell's scalar fields are dumped with an empty witnesses list,
-    indented one level deeper to sit in the array, and the empty list is
-    replaced by its classes' JSON items, made once per class per call.
+    One cell is written at a time, so the document is never held. A
+    cell's head, its scalar fields as indented `"name": value` lines,
+    is written straight from scalar_fields; then its witness items,
+    each class's made once per call with json.dumps on each text; then
+    its tail.
     """
     encoded = {}
     i = -1  # the last cell written
     for i, r in enumerate(reports):
-        cell = json.dumps({**r.scalar_fields(), "witnesses": []}, indent=2)
-        head, tail = cell.replace("\n", "\n  ").rsplit("[]", 1)
-        for ds in r.optimal_degseqs:
+        fields = ",\n    ".join([f'"{name}": {_json_scalar(value)}'
+                                 for name, value in r.scalar_fields().items()])
+        file.write(f'{"," if i else "["}\n  {{\n    {fields},\n    "witnesses": [\n      ')
+        for k, ds in enumerate(r.optimal_degseqs):
             if ds not in encoded:
                 encoded[ds] = ",\n      ".join(map(json.dumps, _witnesses(ds)))
-        items = ",\n      ".join(map(encoded.__getitem__, r.optimal_degseqs))
-        file.write(f"{',' if i else '['}\n  {head}[\n      {items}\n    ]{tail}")
+            if k:
+                file.write(",\n      ")
+            file.write(encoded[ds])
+        file.write("\n    ]\n  }")
     file.write("[]\n" if i < 0 else "\n]\n")
 
 

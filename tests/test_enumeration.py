@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from conftest import all_free_trees, path_tree, star_tree
-from reference_levels import level_degrees, level_parents, tree_from_levels
+from reference_levels import level_degrees, level_parents, level_sequences, tree_from_levels
 
 import treedex
 import treedex.enumeration as enumeration
@@ -163,6 +163,15 @@ class TestWalk:
         for n in range(2, 17):
             assert [levels for levels, _, _ in _level_sequences(n)] == \
                 list(reference_level_sequences(n)), n
+
+    def test_every_step_matches_the_walk_that_rereads_its_levels(self):
+        # The walk carries the root's second child, the first subtree's
+        # depth and the rest's running maximum between steps; stale
+        # bookkeeping shows as a step that differs. Streamed, n = 17 too.
+        for n in range(2, 18):
+            for step, (walked, expected) in enumerate(
+                    zip(_level_sequences(n), level_sequences(n), strict=True)):
+                assert walked == expected, (n, step)
 
     def test_degree_counts_match_the_levels(self):
         for n in range(2, 15):

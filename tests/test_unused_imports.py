@@ -1,4 +1,4 @@
-"""No treedex module imports a name it never uses.
+"""No treedex module or test module imports a name it never uses.
 
 A stdlib stand-in for a linter's unused-import rule (F401): every name a
 module binds by an import must be read somewhere in that module, unless
@@ -13,8 +13,9 @@ import pytest
 
 import treedex
 
-MODULES = sorted(path for path in Path(treedex.__file__).parent.glob("*.py")
-                 if path.name != "__init__.py")
+PACKAGE = Path(treedex.__file__).parent
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,6 +45,7 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["line 3: os", "line 4: isclose"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda path: (
+    path.name if path.parent == PACKAGE else f"tests/{path.name}"))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

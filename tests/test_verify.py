@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 from conftest import all_free_trees
+from hypothesis import given
+from hypothesis import strategies as st
 from reference_levels import level_parents, tree_from_levels
 
 import treedex.enumeration as enumeration
@@ -22,6 +24,7 @@ from treedex import (
     DegreeSequence,
     FamilyConstraint,
     Index,
+    TheoremReport,
     Tree,
     canonical_code,
     check_monotonicity,
@@ -643,6 +646,44 @@ class TestWriters:
                     tracemalloc.stop()
             assert peak < len(document) / 4, (writer.__name__, peak, len(document))
             assert path.read_bytes() == document.encode()
+
+
+# finite floats, with the ones whose repr is shortest-digits, subnormal or
+# exponent form
+SCALAR_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    (-0.0, 5e-324, 1e-05, 1e16, 1e300))
+
+
+# reports with any finite floats, None or int params, and witness classes
+# of order 6
+ADVERSARIAL_REPORTS = st.lists(st.builds(
+    TheoremReport,
+    theorem=st.sampled_from(THEOREM_NAMES),
+    n=st.integers(),
+    param=st.none() | st.integers(),
+    index_kind=st.sampled_from(("r0", "sei")),
+    index_param=SCALAR_FLOATS,
+    direction=st.sampled_from(("min", "max")),
+    bound=SCALAR_FLOATS,
+    oracle=SCALAR_FLOATS,
+    bound_matches=st.booleans(),
+    equality_set_matches=st.booleans(),
+    verdict=st.sampled_from((CONFIRMED, REFUTED)),
+    optimal_degseqs=st.lists(st.sampled_from(_families(6)[None, None]), min_size=1,
+                             max_size=3, unique=True).map(tuple)), max_size=4)
+
+
+class TestCellWriter:
+    """reports_to_json writes each cell's scalar fields itself."""
+
+    @given(ADVERSARIAL_REPORTS)
+    def test_scalars_are_written_as_json_dumps_writes_them(self, reports):
+        assert written(reports_to_json, reports) == json.dumps(
+            [r.to_json_dict() for r in reports], indent=2) + "\n"
+
+    def test_names_written_in_quotes_need_no_escaping(self):
+        for name in (*THEOREM_NAMES, "r0", "sei", "min", "max", CONFIRMED, REFUTED):
+            assert json.dumps(name) == f'"{name}"'
 
 
 class TestFullReport:
