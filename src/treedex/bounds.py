@@ -198,6 +198,7 @@ _THEOREMS = {
 
 THEOREM_NAMES = tuple(_THEOREMS)
 THEOREM_FAMILY = {name: th.family for name, th in _THEOREMS.items()}
+THEOREM_DIRECTIONS = {name: th.directions for name, th in _THEOREMS.items()}
 
 
 @lru_cache(maxsize=None, typed=True)

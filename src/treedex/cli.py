@@ -30,7 +30,7 @@ from .enumeration import family_members, free_trees
 from .indices import KEYWORDS, Index
 from .trees import parse_tree, squeeze
 from .transforms import TRANSFORMS, predicted_delta
-from .verify import build_witnesses, check_theorem, reports_to_csv, reports_to_json
+from .verify import CONFIRMED, build_witnesses, check_theorem, reports_to_csv, reports_to_json
 
 
 class _UsageError(Exception):
@@ -270,7 +270,7 @@ def _cmd_verify(args) -> int:
                 f"{KEYWORDS[r.index_kind]}={r.index_param!r} {r.direction} "
                 f"bound={r.bound!r} oracle={r.oracle!r}"
             )
-        confirmed = sum(1 for r in reports if r.verdict == "CONFIRMED")
+        confirmed = sum(1 for r in reports if r.verdict == CONFIRMED)
         print(f"cells: {len(reports)}  confirmed: {confirmed}  refuted: {len(reports) - confirmed}")
     print(timing, file=sys.stderr)
     return 0

@@ -37,6 +37,7 @@ from functools import lru_cache
 from itertools import compress, repeat
 
 from .bounds import (
+    THEOREM_DIRECTIONS,
     THEOREM_FAMILY,
     THEOREM_NAMES,
     FamilyConstraint,
@@ -217,12 +218,9 @@ class TheoremReport:
         return {**self.scalar_fields(), "witnesses": list(self.witness_edge_texts)}
 
 
-def _check_cell(theorem: str, n: int, param: int | None, index: Index) -> TheoremReport | None:
+def _check_cell(theorem: str, n: int, param: int | None, index: Index) -> TheoremReport:
     bound = theorem_bound(theorem, n, param, **index.keyword)
-    if bound.direction is None:
-        return None
-    kind = THEOREM_FAMILY[theorem]
-    best, winners = _scan(kind, n, param, bound.direction, index)
+    best, winners = _scan(THEOREM_FAMILY[theorem], n, param, bound.direction, index)
     bound_matches = values_close(bound.value, best)
     equality_set_matches = winners == (bound.equality_degseq,)
     return TheoremReport(
@@ -247,19 +245,18 @@ def _grid(alpha_grid, a_grid) -> list[Index]:
 
 def check_theorem(theorem: str, n_range, alpha_grid=DEFAULT_ALPHA_GRID,
                   a_grid=DEFAULT_A_GRID) -> list[TheoremReport]:
-    """One report per claimed cell, ordered by (n, param, index, value)."""
+    """One report per (n, param, claimed index), ordered by (n, param,
+    index, value). A grid value whose regime the theorem claims nothing
+    for makes no cell, so its closed form is never evaluated."""
     if theorem not in THEOREM_NAMES:
         raise ValueError(f"unknown theorem {theorem!r}")
     kind = THEOREM_FAMILY[theorem]
-    grid = _grid(alpha_grid, a_grid)
-    reports = []
-    for n in n_range:
-        for param in (None,) if kind is None else family_params(kind, n):
-            for index in grid:
-                report = _check_cell(theorem, n, param, index)
-                if report is not None:
-                    reports.append(report)
-    return reports
+    grid = [index for index in _grid(alpha_grid, a_grid)
+            if index.claim(THEOREM_DIRECTIONS[theorem]) is not None]
+    return [_check_cell(theorem, n, param, index)
+            for n in n_range
+            for param in ((None,) if kind is None else family_params(kind, n))
+            for index in grid]
 
 
 @dataclass(frozen=True)
@@ -340,7 +337,7 @@ def _balanced_count_audit() -> dict:
     rows = []
     failures = 0
     for n in range(_AUDIT_N_LO, _AUDIT_N_HI + 1):
-        for n1 in range(3, n - 1):
+        for n1 in family_params("pt", n):
             bc = balanced_counts(n, n1)
             fx, fy = balanced_counts_formula(n, n1)
             internal_sum = 2 * (n - 1) - n1
@@ -384,6 +381,7 @@ def full_report(n_max: int = 14, alpha_grid=DEFAULT_ALPHA_GRID, a_grid=DEFAULT_A
     cells = []
     for theorem in THEOREM_NAMES:
         cells.extend(check_theorem(theorem, range(6, n_max + 1), alpha_grid, a_grid))
+    build_witnesses(cells)
     mono = []
     for kind in sorted(TRANSFORMS):
         mono.extend(

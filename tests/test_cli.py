@@ -410,6 +410,23 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "index value overflows a float" in err and "(34," not in err
 
+    @pytest.mark.parametrize("theorems, cells", (("pt-spider", 4), ("pt-spider,pt-balanced", 8)))
+    def test_unclaimed_overflow_makes_no_cell(self, capsys, theorems, cells):
+        # the PT bounds claim nothing for a > 1, so a = 1e100 makes no cell
+        # and its overflowing closed form is never evaluated
+        code, out, err = run(capsys, "verify", "--theorems", theorems, "--n", "8..8",
+                             "--alpha-grid", "2", "--a-grid", "1e100")
+        assert code == 0 and err.startswith(f"verify: {cells} cells in ")
+        assert out.endswith(f"cells: {cells}  confirmed: {cells}  refuted: 0\n")
+        assert "a=1e+100" not in out
+
+    def test_claimed_overflow_still_fails(self, capsys):
+        # st-star claims a > 1, so its closed form at a = 1e100 is evaluated
+        code, out, err = run(capsys, "verify", "--theorems", "st-star", "--n", "8..8",
+                             "--alpha-grid", "2", "--a-grid", "1e100")
+        assert code == 2 and out == ""
+        assert "index value overflows a float: the st-star closed form at a=1e+100" in err
+
     @pytest.mark.parametrize("files", (False, True))
     def test_order_cap(self, capsys, tmp_path, files):
         argv = ["verify", "--theorems", "star", "--n", "19..19"]

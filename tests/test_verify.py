@@ -48,6 +48,7 @@ from treedex.enumeration import (
     _families,
     _level_sequences,
 )
+from treedex.indices import KEYWORDS
 from treedex.trees import _adjacency, _edge_text, _peel_code
 from treedex.verify import (
     _WITNESSES,
@@ -320,6 +321,22 @@ class TestWitnessCache:
         build_witnesses(check_theorem("star", range(10, 11)))
         assert len(census.calls) == 1
 
+    def test_full_report_builds_only_the_winners(self, monkeypatch):
+        # full_report builds the cells' witnesses before it encodes them,
+        # as the CLI does, so no order is walked for every class
+        reports = all_theorems(range(6, 10), alpha_grid=(2.0,), a_grid=(0.6,))
+        winners = {ds for r in reports for ds in r.optimal_degseqs}
+        census = CountingCensus()
+        monkeypatch.setattr(verify, "_census", census)
+        _WITNESSES.clear()
+        doc = full_report(9, alpha_grid=(2.0,), a_grid=(0.6,), mono_n_max=4)
+        assert sorted(n for n, _ in census.calls) == list(range(6, 10))
+        assert set().union(*(wanted for _, wanted in census.calls)) == winners
+        assert set(_WITNESSES) == winners
+        reference = {n: eager_witnesses(n) for n in range(6, 10)}
+        assert [cell["witnesses"] for cell in doc["cells"]] == [
+            [text for ds in r.optimal_degseqs for text in reference[r.n][ds]] for r in reports]
+
 
 class TestOracleExtremum:
     def test_pt_min_spider_cell(self):
@@ -456,6 +473,31 @@ class TestCheckTheorem:
     def test_unknown_theorem(self):
         with pytest.raises(ValueError):
             check_theorem("zz", range(6, 8))
+
+    def test_one_bound_per_cell(self, monkeypatch):
+        # the claim table decides which cells exist before anything is
+        # evaluated, so each bound evaluated is a cell's
+        calls = []
+
+        def counting(theorem, n, param=None, **index):
+            calls.append((theorem, n, param, *index.items()))
+            return theorem_bound(theorem, n, param, **index)
+
+        monkeypatch.setattr(verify, "theorem_bound", counting)
+        for theorem in THEOREM_NAMES:
+            calls.clear()
+            reports = check_theorem(theorem, range(6, 11))
+            assert calls == [(theorem, r.n, r.param, (KEYWORDS[r.index_kind], r.index_param))
+                             for r in reports], theorem
+
+    def test_no_claimed_grid_value_evaluates_nothing(self, monkeypatch):
+        def no_bound(*args, **kwargs):
+            raise AssertionError("a bound was evaluated for a cell that does not exist")
+
+        monkeypatch.setattr(verify, "theorem_bound", no_bound)
+        # st-star claims nothing in the SEI window; PT(n, .) is empty below n = 5
+        assert check_theorem("st-star", range(6, 9), alpha_grid=(), a_grid=(0.6,)) == []
+        assert check_theorem("pt-spider", range(2, 5)) == []
 
 
 class TestMonotonicity:
