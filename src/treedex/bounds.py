@@ -1,6 +1,6 @@
 """Closed-form extremal bounds and their equality degree sequences.
 
-Seven bound statements over three tree families (n >= 6 throughout):
+Seven bound statements over four tree families (PT/ST/BT from n = 6):
 
     pt-spider    PT(n, n1): spider-type sequence (n1, 2^(n-n1-1), 1^n1)
     pt-balanced  PT(n, n1): near-regular internal degrees t/t+1
@@ -31,8 +31,13 @@ from .trees import DegreeSequence, Tree, realize_caterpillar
 FAMILY_PARAM = {"pt": ("n1", "pendant"), "st": ("k", "segment"), "bt": ("b", "branching")}
 
 
-def family_params(kind: str, n: int) -> range:
-    """Valid parameters of a family: 3 <= n1, k <= n-2 and 1 <= b <= n/2 - 1."""
+def family_params(kind: str | None, n: int) -> range | tuple[None, ...]:
+    """Every family's domain, stated only here: all trees (kind None) from
+    n = 4; 3 <= n1, k <= n-2 and 1 <= b <= n/2 - 1 from n = 6."""
+    if kind is None:
+        return (None,) if n >= 4 else ()
+    if n < 6:
+        return ()
     return range(1, (n - 2) // 2 + 1) if kind == "bt" else range(3, n - 1)
 
 
@@ -43,18 +48,22 @@ def family_param(kind: str, stats) -> int:
 
 @dataclass(frozen=True)
 class FamilyConstraint:
-    """One of PT(n, n1) / ST(n, k) / BT(n, b) with its validity range."""
+    """PT(n, n1) / ST(n, k) / BT(n, b), or all trees (kind None, param
+    None): valid exactly when param is in family_params(kind, n)."""
 
-    kind: str  # "pt" | "st" | "bt"
+    kind: str | None  # "pt" | "st" | "bt" | None
     n: int
-    param: int
+    param: int | None
 
     def __post_init__(self) -> None:
-        if self.kind not in FAMILY_PARAM:
+        if self.kind is not None and self.kind not in FAMILY_PARAM:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.n < 6:
-            raise ValueError("families are defined for n >= 6")
         valid = family_params(self.kind, self.n)
+        if self.kind is None and self.param not in valid:
+            raise ValueError("all trees are defined for n >= 4 with no parameter, "
+                             f"got param={self.param}, n={self.n}")
+        if not valid:
+            raise ValueError("families are defined for n >= 6")
         if self.param not in valid:
             name, noun = FAMILY_PARAM[self.kind]
             raise ValueError(
@@ -86,8 +95,6 @@ def balanced_counts(n: int, n1: int) -> BalancedCounts:
     t = (n - 2) // (n - n1) + 1
     count_t1 = 2 * (n - 1) - n1 - t * (n - n1)
     count_t = (n - n1) - count_t1
-    if count_t < 0 or count_t1 < 0:
-        raise ValueError(f"no balanced split for n={n}, n1={n1}")
     return BalancedCounts(t, count_t, count_t1)
 
 
@@ -207,15 +214,7 @@ def _equality_degseq(theorem: str, n: int, param: int | None) -> DegreeSequence:
     if theorem not in _THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}")
     th = _THEOREMS[theorem]
-    if th.family is None:
-        if param is not None:
-            raise ValueError("the star bound takes no family parameter")
-        if n < 4:
-            raise ValueError("star bound requires n >= 4")
-    elif param is None:
-        raise ValueError(f"{theorem} requires a family parameter")
-    else:
-        FamilyConstraint(th.family, n, param)
+    FamilyConstraint(th.family, n, param)
     return DegreeSequence(th.degseq(n, param))
 
 

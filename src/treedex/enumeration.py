@@ -203,7 +203,7 @@ def free_trees(n: int):
 
 
 def family_members(c: FamilyConstraint):
-    """Members of PT/ST/BT(n, param) in free_trees order.
+    """Members of PT/ST/BT(n, param), or of all trees, in free_trees order.
 
     For ST this is exactly the set of trees with n2 = n - k - 1. The
     walk's degree counts are checked against the family's degree

@@ -246,16 +246,16 @@ def _grid(alpha_grid, a_grid) -> list[Index]:
 def check_theorem(theorem: str, n_range, alpha_grid=DEFAULT_ALPHA_GRID,
                   a_grid=DEFAULT_A_GRID) -> list[TheoremReport]:
     """One report per (n, param, claimed index), ordered by (n, param,
-    index, value). A grid value whose regime the theorem claims nothing
-    for makes no cell, so its closed form is never evaluated."""
+    index, value): a cell for each param in family_params of its family
+    (all trees from n = 4, PT/ST/BT from n = 6) and each grid value
+    whose regime the theorem claims, so no other bound is evaluated."""
     if theorem not in THEOREM_NAMES:
         raise ValueError(f"unknown theorem {theorem!r}")
-    kind = THEOREM_FAMILY[theorem]
     grid = [index for index in _grid(alpha_grid, a_grid)
             if index.claim(THEOREM_DIRECTIONS[theorem]) is not None]
     return [_check_cell(theorem, n, param, index)
             for n in n_range
-            for param in ((None,) if kind is None else family_params(kind, n))
+            for param in family_params(THEOREM_FAMILY[theorem], n)
             for index in grid]
 
 
@@ -299,7 +299,10 @@ def check_monotonicity(kind: str, n_range, alpha_grid=DEFAULT_ALPHA_GRID,
     (the caterpillar realization for the s-moves)."""
     if kind not in TRANSFORMS:
         raise ValueError(f"unknown transform {kind!r}")
-    grid = _grid(alpha_grid, a_grid)
+    claims = [(index, sign) for index in _grid(alpha_grid, a_grid)
+              if (sign := claimed_sign(kind, **index.keyword)) is not None]
+    if not claims:  # no move is applied or tree built
+        return []
     moves = []
     for n in n_range:
         for t in free_trees(n):
@@ -308,10 +311,7 @@ def check_monotonicity(kind: str, n_range, alpha_grid=DEFAULT_ALPHA_GRID,
             except ValueError:
                 continue
     rows = []
-    for index in grid:
-        sign = claimed_sign(kind, **index.keyword)
-        if sign is None:
-            continue
+    for index, sign in claims:
         offenders = []
         for move in moves:
             delta = index.of_tree(move.before) - index.of_tree(move.after)

@@ -65,6 +65,35 @@ class TestFamilyConstraint:
         with pytest.raises(ValueError):
             FamilyConstraint("xx", 8, 3)
 
+    def test_domains_start_at_four_and_six(self):
+        paper = {"pt": lambda n: range(3, n - 1), "st": lambda n: range(3, n - 1),
+                 "bt": lambda n: range(1, (n - 2) // 2 + 1)}
+        for n in range(0, 21):
+            assert bounds.family_params(None, n) == ((None,) if n >= 4 else ())
+            for kind, params in paper.items():
+                expected = tuple(params(n)) if n >= 6 else ()
+                assert tuple(bounds.family_params(kind, n)) == expected, (kind, n)
+
+    def test_agrees_with_family_params(self):
+        # family_params is the one statement of every family's domain
+        for kind in (None, "pt", "st", "bt"):
+            for n in range(0, 21):
+                valid = bounds.family_params(kind, n)
+                for param in (None, *range(-1, n + 2)):
+                    try:
+                        FamilyConstraint(kind, n, param)
+                        constructed = True
+                    except ValueError:
+                        constructed = False
+                    assert constructed == (param in valid), (kind, n, param)
+
+    def test_all_trees(self):
+        FamilyConstraint(None, 4, None)
+        with pytest.raises(ValueError, match="n >= 4"):
+            FamilyConstraint(None, 3, None)
+        with pytest.raises(ValueError, match="no parameter"):
+            FamilyConstraint(None, 8, 3)
+
 
 class TestBalancedCounts:
     @pytest.mark.parametrize(
@@ -76,10 +105,12 @@ class TestBalancedCounts:
         assert (bc.t, bc.count_t, bc.count_t1) == expected
 
     def test_identities_all_cells(self):
-        for n in range(6, 15):
+        # the split is non-negative wherever PT(n, n1) is defined, so
+        # balanced_counts needs no check of its own
+        for n in range(6, 61):
             for n1 in range(3, n - 1):
                 bc = balanced_counts(n, n1)
-                assert bc.count_t >= 0 and bc.count_t1 >= 0
+                assert bc.count_t >= 1 and bc.count_t1 >= 0, (n, n1)
                 assert bc.count_t + bc.count_t1 == n - n1
                 assert bc.t * bc.count_t + (bc.t + 1) * bc.count_t1 == 2 * (n - 1) - n1
 
@@ -93,6 +124,8 @@ class TestBalancedCounts:
     def test_invalid(self):
         with pytest.raises(ValueError):
             balanced_counts(6, 2)
+        with pytest.raises(ValueError, match="n >= 6"):
+            balanced_counts(5, 3)
 
 
 class TestBoundValues:

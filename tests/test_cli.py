@@ -129,6 +129,15 @@ class TestBoundCommand:
                          "--n1", "2", "--alpha", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", (
+        (("--theorem", "star", "--n", "3"), "all trees are defined for n >= 4"),
+        (("--theorem", "pt-spider", "--n", "5", "--n1", "3"), "families are defined for n >= 6"),
+    ))
+    def test_below_the_family_floor_validation_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "bound", *argv, "--alpha", "2")
+        assert code == 2 and out == ""
+        assert message in err
+
     @pytest.mark.parametrize("flag", ("--alpha", "--a"))
     @pytest.mark.parametrize("bad", ("nan", "inf", "-inf", OVERFLOWING))
     def test_non_finite_param_validation_error(self, capsys, flag, bad):
@@ -212,6 +221,9 @@ class TestEnumerateCommand:
         assert code == 2
         code, _, _ = run(capsys, "enumerate", "--n", "6", "--family", "bt", "--param", "0")
         assert code == 2
+        code, out, err = run(capsys, "enumerate", "--n", "5", "--family", "pt", "--param", "3")
+        assert code == 2 and out == ""
+        assert err == "treedex: families are defined for n >= 6\n"
 
     def test_family_without_param_usage_error(self, capsys):
         code, _, _ = run(capsys, "enumerate", "--n", "6", "--family", "pt")
@@ -324,6 +336,17 @@ class TestVerifyCommand:
         assert code == 0
         assert out.encode() == report.read_bytes()
         assert len(json.loads(out)) > 0
+
+    def test_orders_below_a_family_make_no_cells(self, capsys):
+        # all trees from n = 4, PT/ST/BT from n = 6; smaller n is no error
+        code, out, _ = run(capsys, "verify", "--theorems", "all", "--n", "2..6")
+        assert code == 0
+        _, six, _ = run(capsys, "verify", "--theorems", "all", "--n", "6..6")
+        lines = out.splitlines()[:-1]
+        assert [x for x in lines if " n=6 " in x] == six.splitlines()[:-1]
+        small = [x for x in lines if " n=6 " not in x]
+        assert small and all(x.split()[1] == "star" and x.split()[2] in ("n=4", "n=5")
+                             for x in small)
 
     def test_refuted_cells_exit_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorems", "pt-spider", "--n", "8",

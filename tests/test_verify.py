@@ -41,7 +41,7 @@ from treedex import (
     theorem_bound,
     values_close,
 )
-from treedex.bounds import THEOREM_FAMILY, THEOREM_NAMES
+from treedex.bounds import THEOREM_DIRECTIONS, THEOREM_FAMILY, THEOREM_NAMES, family_params
 from treedex.cli import main
 from treedex.enumeration import (
     _degree_counts,
@@ -364,6 +364,14 @@ class TestOracleExtremum:
         assert min(values) == value
         assert any(values_close(v, value) for v in values)
 
+    def test_all_trees_family(self):
+        for n in range(4, 11):
+            value, winners = oracle_extremum(FamilyConstraint(None, n, None), "max", alpha=2)
+            assert value == (n - 1) ** 2 + n - 1
+            assert winners == ((n - 1,) + (1,) * (n - 1),)
+            members = family_members(FamilyConstraint(None, n, None))
+            assert [t.edge_text() for t in members] == [t.edge_text() for t in all_free_trees(n)]
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             oracle_extremum(FamilyConstraint("pt", 8, 3), "best", alpha=2)
@@ -474,6 +482,21 @@ class TestCheckTheorem:
         with pytest.raises(ValueError):
             check_theorem("zz", range(6, 8))
 
+    @pytest.mark.parametrize("grids", (((2.0,), ()), ((), (0.6,)),
+                                       (DEFAULT_ALPHA_GRID, DEFAULT_A_GRID)))
+    def test_cells_are_the_domain_on_every_grid(self, grids):
+        # which (n, param) make cells depends on the family alone, never
+        # on the grid: below a family's floor there is no cell and no error
+        alpha_grid, a_grid = grids
+        for theorem in THEOREM_NAMES:
+            claimed = [x for kw, grid in (("alpha", alpha_grid), ("a", a_grid)) for x in grid
+                       if Index.of(**{kw: x}).claim(THEOREM_DIRECTIONS[theorem]) is not None]
+            reports = check_theorem(theorem, range(2, 8), alpha_grid, a_grid)
+            assert [(r.n, r.param, r.index_param) for r in reports] == [
+                (n, param, x) for n in range(2, 8)
+                for param in family_params(THEOREM_FAMILY[theorem], n) for x in claimed
+            ], theorem
+
     def test_one_bound_per_cell(self, monkeypatch):
         # the claim table decides which cells exist before anything is
         # evaluated, so each bound evaluated is a cell's
@@ -495,7 +518,7 @@ class TestCheckTheorem:
             raise AssertionError("a bound was evaluated for a cell that does not exist")
 
         monkeypatch.setattr(verify, "theorem_bound", no_bound)
-        # st-star claims nothing in the SEI window; PT(n, .) is empty below n = 5
+        # st-star claims nothing in the SEI window; PT(n, .) is empty below n = 6
         assert check_theorem("st-star", range(6, 9), alpha_grid=(), a_grid=(0.6,)) == []
         assert check_theorem("pt-spider", range(2, 5)) == []
 
@@ -522,9 +545,13 @@ class TestMonotonicity:
         assert row.counterexamples  # canonical codes of offending trees
         assert row.conforming + row.counterexample_total == row.applicable
 
-    def test_unclaimed_regimes_skipped(self):
-        rows = check_monotonicity("p1", range(4, 8), alpha_grid=(), a_grid=(2.0,))
-        assert rows == []
+    def test_unclaimed_regimes_skipped(self, monkeypatch):
+        # p1 claims nothing for a > 1, so no tree is walked or moved
+        def no_trees(n):
+            raise AssertionError("a tree was built for a move with no claimed sign")
+
+        monkeypatch.setattr(verify, "free_trees", no_trees)
+        assert check_monotonicity("p1", range(4, 9), alpha_grid=(), a_grid=(2.0,)) == []
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
