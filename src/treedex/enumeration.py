@@ -25,9 +25,11 @@ family's group, family_members builds the trees whose counts match it.
 
 A Prüfer-decode generator over all n^(n-2) labeled trees is included as
 the independent cross-check oracle for small n. The oracle's count
-codes each decode straight from its adjacency lists with the
-tree-checking leaf peel behind canonical_code, so it builds no Tree;
-labeled_trees_prufer still yields validated Trees.
+checks every decode is a tree and interns its shape rooted at n - 1 in
+the same pass over its edges, which come in removal order. Only the
+first decode of each rooted shape, A000081(n) of them, is coded, from
+its adjacency lists with the leaf peel behind canonical_code, so the
+count builds no Tree; labeled_trees_prufer still yields validated Trees.
 """
 
 from __future__ import annotations
@@ -251,7 +253,34 @@ def labeled_trees_prufer(n: int):
 def free_tree_count_by_prufer(n: int) -> int:
     """Number of distinct canonical codes over all labeled trees.
 
-    Each decode is coded from its adjacency lists by the peel behind
-    canonical_code, which checks that it is a tree; no Tree is built.
+    A decode lists its edges (leaf, parent) in removal order, the last
+    one into n - 1, so one pass checks it is a tree and interns its
+    shape rooted at n - 1 (Aho, Hopcroft and Ullman 1974): each leaf's
+    sorted child shape ids get an id of their own, which goes to its
+    parent. It raises ValueError on a count of edges other than n - 1, a
+    leaf removed twice, a leaf n - 1, or a parent already removed: with
+    none of them, the edges are a tree rooted at n - 1. Only the first
+    decode of each rooted shape is coded, from its adjacency lists by
+    the peel behind canonical_code: A000081(n) peels in all. No Tree is
+    built.
     """
-    return len({_peel_code(_adjacency(n, edges)) for edges in _prufer_decodes(n)})
+    shapes: dict[tuple[int, ...], int] = {}  # sorted child shape ids -> shape id
+    codes: dict[tuple[int, ...], bytes] = {}  # those of n - 1 -> canonical code
+    for edges in _prufer_decodes(n):
+        if len(edges) != n - 1:
+            raise ValueError(f"not a tree: {len(edges)} edges on {n} vertices")
+        removed = [False] * n
+        children: list[list[int]] = [[] for _ in range(n)]
+        for leaf, parent in edges:
+            if removed[leaf] or leaf == n - 1:
+                raise ValueError(f"not a tree: leaf {leaf} cannot be removed")
+            removed[leaf] = True
+            if removed[parent]:
+                raise ValueError(f"not a tree: leaf {leaf} joins removed vertex {parent}")
+            kids = children[leaf]
+            kids.sort()
+            children[parent].append(shapes.setdefault(tuple(kids), len(shapes)))
+        root = tuple(sorted(children[n - 1]))
+        if root not in codes:
+            codes[root] = _peel_code(_adjacency(n, edges))
+    return len(set(codes.values()))

@@ -6,7 +6,8 @@ this module can be used from concurrent workers without locking.
 
 The canonical code is a leaf peel over adjacency lists (`_peel_code`)
 that also checks the graph is a tree. `canonical_code` runs it on a
-Tree, and the Prüfer oracle on the lists it decodes, building no Tree.
+Tree, and the Prüfer oracle on the lists of the first decode of each
+rooted shape, building no Tree.
 `_edge_text` is the one edge-text formatter; verify's witnesses take
 their edge lines from a table it formats.
 """

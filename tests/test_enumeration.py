@@ -210,6 +210,19 @@ def heap_prufer_edges(seq, n):
     return tuple(edges)
 
 
+# Edge lists that no Prüfer decode on 5 vertices can be, each swapped in for
+# the decode of BAD_SEQ; the peel would accept the last three as trees.
+BAD_SEQ = (2, 3, 1)
+BAD_DECODES = {
+    "self-loop": ((0, 2), (1, 1), (2, 3), (3, 4)),
+    "cycle": ((0, 1), (1, 2), (2, 0), (3, 4)),
+    "an edge short": ((0, 1), (1, 2), (2, 4)),
+    "edge into a removed vertex": ((0, 1), (2, 0), (1, 3), (3, 4)),
+    "leaf removed twice": ((0, 1), (0, 2), (2, 3), (3, 4)),
+    "last vertex as leaf": ((4, 0), (1, 0), (2, 0), (3, 0)),
+}
+
+
 class TestPruferOracle:
     def test_decode_basics(self):
         assert _prufer_edges((0,), 3) == ((1, 0), (0, 2))
@@ -274,6 +287,56 @@ class TestPruferOracle:
         assert free_tree_count_by_prufer(6) == FREE_TREE_COUNTS[6]
         with pytest.raises(AssertionError):
             next(labeled_trees_prufer(6))  # the public generator still validates
+
+    def test_count_peels_each_rooted_shape_once(self, monkeypatch):
+        # every rooted shape at n - 1 is reached and coded once: OEIS A000081
+        # peels; the walk is never called, so the oracle shares no code with it
+        calls = []
+        peel = enumeration._peel_code
+
+        def counting(adjacency):
+            calls.append(len(adjacency))
+            return peel(adjacency)
+
+        def no_walk(n):
+            raise AssertionError("the Prüfer count called the level-sequence walk")
+
+        monkeypatch.setattr(enumeration, "_peel_code", counting)
+        monkeypatch.setattr(enumeration, "_level_sequences", no_walk)
+        rooted = {2: 1, 3: 2, 4: 4, 5: 9, 6: 20, 7: 48, 8: 115}
+        for n, expected in rooted.items():
+            calls.clear()
+            assert free_tree_count_by_prufer(n) == FREE_TREE_COUNTS[n]
+            assert calls == [n] * expected
+
+    @pytest.mark.parametrize("edges", BAD_DECODES.values(), ids=BAD_DECODES)
+    def test_count_checks_every_decode(self, monkeypatch, edges):
+        # one bad decode among the 125 at n = 5 is caught by the count's own
+        # pass: the peel is stubbed out, so it cannot be what raises
+        decode = enumeration._prufer_edges
+        monkeypatch.setattr(enumeration, "_prufer_edges",
+                            lambda seq, n: edges if seq == BAD_SEQ else decode(seq, n))
+        monkeypatch.setattr(enumeration, "_peel_code", lambda adjacency: b"")
+        with pytest.raises(ValueError, match="not a tree"):
+            free_tree_count_by_prufer(5)
+
+    def test_count_checks_every_decode_under_optimisation(self):
+        script = (
+            "import treedex.enumeration as enumeration\n"
+            "decode = enumeration._prufer_edges\n"
+            f"bad = {BAD_DECODES['last vertex as leaf']!r}\n"
+            f"enumeration._prufer_edges = lambda seq, n: bad if seq == {BAD_SEQ!r} "
+            "else decode(seq, n)\n"
+            "try:\n"
+            "    enumeration.free_tree_count_by_prufer(5)\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('accepted a decode with leaf n - 1')\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=str(Path(treedex.__file__).parents[1])),
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestAddLeafOracle:
