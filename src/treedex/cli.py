@@ -211,9 +211,11 @@ def _parse_range(text: str) -> range:
 
 def _reject_repeats(items, message: str) -> None:
     """Usage error naming, after the message, the first repeated item."""
-    for i, x in enumerate(items):
-        if x in items[:i]:  # its cells would be checked and written twice
+    seen = set()
+    for x in items:
+        if x in seen:  # its cells would be checked and written twice
             raise _UsageError(f"{message} {x!r}")
+        seen.add(x)
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:

@@ -26,10 +26,12 @@ family's group, family_members builds the trees whose counts match it.
 A Prüfer-decode generator over all n^(n-2) labeled trees is included as
 the independent cross-check oracle for small n. The oracle's count
 checks every decode is a tree and interns its shape rooted at n - 1 in
-the same pass over its edges, which come in removal order. Only the
-first decode of each rooted shape, A000081(n) of them, is coded, from
-its adjacency lists with the leaf peel behind canonical_code, so the
-count builds no Tree; labeled_trees_prufer still yields validated Trees.
+the same pass over its edges, which come in removal order; each
+vertex's multiset of child shapes is one integer, a base-n number
+whose digits count the children of each shape. Only the first decode
+of each rooted shape, A000081(n) of them, is coded, from its adjacency
+lists with the leaf peel behind canonical_code, so the count builds no
+Tree; labeled_trees_prufer still yields validated Trees.
 """
 
 from __future__ import annotations
@@ -255,32 +257,36 @@ def free_tree_count_by_prufer(n: int) -> int:
 
     A decode lists its edges (leaf, parent) in removal order, the last
     one into n - 1, so one pass checks it is a tree and interns its
-    shape rooted at n - 1 (Aho, Hopcroft and Ullman 1974): each leaf's
-    sorted child shape ids get an id of their own, which goes to its
-    parent. It raises ValueError on a count of edges other than n - 1, a
-    leaf removed twice, a leaf n - 1, or a parent already removed: with
-    none of them, the edges are a tree rooted at n - 1. Only the first
-    decode of each rooted shape is coded, from its adjacency lists by
-    the peel behind canonical_code: A000081(n) peels in all. No Tree is
-    built.
+    shape rooted at n - 1 (Aho, Hopcroft and Ullman 1974). Each vertex
+    keeps its children's multiset of shape ids as one integer, the sum
+    of n**id over them: a vertex has fewer than n children, so no base-n
+    digit carries and the integer names the multiset exactly. A removed
+    leaf's integer gets a shape id of its own, whose weight n**id goes
+    to its parent. It raises ValueError on a count of edges other than
+    n - 1, a leaf removed twice, a leaf n - 1, or a parent already
+    removed: with none of them, the edges are a tree rooted at n - 1.
+    Only the first decode of each rooted shape is coded, from its
+    adjacency lists by the peel behind canonical_code: A000081(n) peels
+    in all. No Tree is built.
     """
-    shapes: dict[tuple[int, ...], int] = {}  # sorted child shape ids -> shape id
-    codes: dict[tuple[int, ...], bytes] = {}  # those of n - 1 -> canonical code
+    weights: dict[int, int] = {}  # child multiset -> n**(its shape id)
+    codes: dict[int, bytes] = {}  # child multiset of n - 1 -> canonical code
     for edges in _prufer_decodes(n):
         if len(edges) != n - 1:
             raise ValueError(f"not a tree: {len(edges)} edges on {n} vertices")
-        removed = [False] * n
-        children: list[list[int]] = [[] for _ in range(n)]
+        key = [0] * n  # each vertex's child multiset, -1 once it is removed
         for leaf, parent in edges:
-            if removed[leaf] or leaf == n - 1:
+            kids = key[leaf]
+            if kids < 0 or leaf == n - 1:
                 raise ValueError(f"not a tree: leaf {leaf} cannot be removed")
-            removed[leaf] = True
-            if removed[parent]:
+            key[leaf] = -1
+            if key[parent] < 0:
                 raise ValueError(f"not a tree: leaf {leaf} joins removed vertex {parent}")
-            kids = children[leaf]
-            kids.sort()
-            children[parent].append(shapes.setdefault(tuple(kids), len(shapes)))
-        root = tuple(sorted(children[n - 1]))
+            weight = weights.get(kids)
+            if weight is None:
+                weight = weights[kids] = n ** len(weights)
+            key[parent] += weight
+        root = key[n - 1]
         if root not in codes:
             codes[root] = _peel_code(_adjacency(n, edges))
     return len(set(codes.values()))

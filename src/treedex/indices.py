@@ -114,13 +114,18 @@ class Index:
         degree's term computed once per Index and largest first, so an
         overflowing term names the largest degree; OverflowError when a
         term or the sum exceeds the float range."""
-        d = tuple(d)  # read twice, so an iterator must not run dry
-        for v in sorted(set(d).difference(self._terms), reverse=True):
-            self._terms[v] = self.term(v)
+        d = tuple(d)  # read again when a term is missing, so an iterator must not run dry
+        terms = self._terms
         try:
-            return math.fsum(map(self._terms.__getitem__, d))
-        except OverflowError:  # only a sum of finite terms is left to overflow
-            raise OverflowError(f"{self}: the sum of the terms is infinite") from None
+            return math.fsum(map(terms.__getitem__, d))
+        except KeyError:  # an unseen degree
+            pass
+        except OverflowError:
+            if terms.keys() >= set(d):  # every term finite and held: only the sum overflows
+                raise OverflowError(f"{self}: the sum of the terms is infinite") from None
+        for v in sorted(set(d).difference(terms), reverse=True):
+            terms[v] = self.term(v)
+        return self.of_degseq(d)
 
     def of_tree(self, t: Tree) -> float:
         if t.n < 2:

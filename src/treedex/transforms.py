@@ -59,9 +59,13 @@ class MoveRecord:
 
 
 def _ranked(t: Tree, vertices) -> list[int]:
-    """The vertices by (degree descending, id ascending)."""
-    deg = t.degrees
-    return sorted(vertices, key=lambda v: (-deg[v], v))
+    """The vertices by (degree descending, id ascending).
+
+    The vertices must come in ascending id order, which the stable
+    reverse sort keeps within a degree. Every caller passes range(n) or
+    a filtered adjacency list, ascending because the edges are sorted.
+    """
+    return sorted(vertices, key=t.degrees.__getitem__, reverse=True)
 
 
 def _off_path(t: Tree, x: int, y: int) -> list[int]:

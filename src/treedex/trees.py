@@ -35,9 +35,16 @@ class Tree:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        norm = tuple(sorted((u, v) if u <= v else (v, u) for u, v in self.edges))
+        norm = tuple(sorted([(u, v) if u <= v else (v, u) for u, v in self.edges]))
         object.__setattr__(self, "edges", norm)
         n = self.n
+        # A connected graph with n - 1 edge entries holds no loop and no
+        # repeat, so that is the whole test; the checks below only name
+        # what is wrong, in a fixed order. norm[0][0] is the smallest id.
+        if n >= 1 and len(norm) == n - 1 and (
+                not norm or norm[0][0] >= 0 and max([v for _, v in norm]) < n) and (
+                len(self.bfs(0)[0]) == n):
+            return
         if n < 1:
             raise ValueError("vertex count must be at least 1")
         prev = None
@@ -63,7 +70,7 @@ class Tree:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adjacency)
+        return tuple(map(len, self.adjacency))
 
     def degree_sequence(self) -> DegreeSequence:
         return DegreeSequence(self.degrees)

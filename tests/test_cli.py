@@ -404,6 +404,14 @@ class TestVerifyCommand:
         assert err == "treedex: error: bad grid '2,0.6,2.0': repeated value 2.0\n"
         assert not report.exists()
 
+    def test_repeat_at_the_end_of_a_long_grid_named(self, capsys):
+        # 19,999 distinct values, then the first one again
+        text = ",".join([str(2 + i / 10**5) for i in range(19_999)] + ["2.00000"])
+        code, out, err = run(capsys, "verify", "--theorems", "all", "--n", "6..6",
+                             f"--a-grid={text}")
+        assert code == 1 and out == ""
+        assert err == f"treedex: error: bad grid {text!r}: repeated value 2.0\n"
+
     @pytest.mark.parametrize("grid", ("--alpha-grid", "--a-grid"))
     @pytest.mark.parametrize("bad", ("nan", "inf", "-inf", OVERFLOWING))
     def test_non_finite_grid_validation_error(self, capsys, grid, bad):

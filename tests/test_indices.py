@@ -17,6 +17,8 @@ from treedex import (
     sei_of_degseq,
     values_close,
 )
+from treedex.enumeration import _families
+from treedex.verify import DEFAULT_A_GRID, DEFAULT_ALPHA_GRID
 
 ALPHAS = (-1.0, -0.5, 0.5, 2.0, 3.0)
 AS = (0.2, 0.5, 0.9, 1.5, 2.0)
@@ -246,6 +248,30 @@ class TestIndexTerms:
             with pytest.raises(OverflowError) as exc:
                 index.term(degrees[0])
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kw", [{"alpha": x} for x in DEFAULT_ALPHA_GRID]
+                             + [{"a": x} for x in DEFAULT_A_GRID])
+    def test_held_terms_sum_like_fresh_ones(self, kw):
+        # a warm Index sums its held terms; a fresh one computes them first
+        sequences = [ds for n in range(2, 13) for ds in _families(n)[None, None]]
+        held = Index.of(**kw)
+        fields = (held.kind, held.x, held.regime)
+        for ds in sequences:
+            held.of_degseq(ds)
+        for ds in sequences:
+            assert held.of_degseq(ds) == Index(*fields).of_degseq(ds), ds
+            assert held.of_degseq(iter(ds)) == held.of_degseq(ds)
+
+    def test_held_terms_overflow_like_fresh_ones(self):
+        # 4**511.5 = 2**1023 is the largest power of two a float holds
+        index = Index("r0", 511.5, "convex")  # not the held Index.of value: no term computed yet
+        index.of_degseq((4, 1, 1, 1, 1))
+        with pytest.raises(OverflowError,
+                           match=r"^alpha=511\.5: the sum of the terms is infinite$"):
+            index.of_degseq((4, 4, 1, 1, 1, 1, 1, 1))
+        # the held terms overflow before degree 5 is reached, whose own term is infinite
+        with pytest.raises(OverflowError, match=r"^alpha=511\.5 at degree 5$"):
+            index.of_degseq((4, 4, 5, 1, 1, 1, 1, 1, 1, 1))
 
 
 class TestShiftSignIdentity:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from conftest import double_broom, path_tree, prufer_trees, spider, star_tree, trees_up_to
 from hypothesis import given
@@ -14,7 +16,10 @@ from treedex import (
     structural_profile,
     values_close,
 )
+from treedex import transforms
+from treedex.enumeration import _prufer_edges
 from treedex.transforms import (
+    _ranked,
     apply_b1,
     apply_b3,
     apply_b4,
@@ -294,6 +299,42 @@ class TestMoveContracts:
                     continue
                 changed = [(d0, d1) for d0, d1 in zip(m.before.degrees, m.after.degrees) if d0 != d1]
                 assert sorted(changed) == sorted(m.degree_changes), (kind, t.edges)
+
+
+def _ranking_trees():
+    """Every free tree with n <= 10, then 50 seeded random labeled trees at n = 60."""
+    yield from trees_up_to(10)
+    rng = random.Random(60)
+    for _ in range(50):
+        yield Tree(60, _prufer_edges(tuple(rng.randrange(60) for _ in range(58)), 60))
+
+
+def _key_ranked(t: Tree, vertices) -> list[int]:
+    """The ranking as an explicit (degree descending, id ascending) key."""
+    deg = t.degrees
+    return sorted(vertices, key=lambda v: (-deg[v], v))
+
+
+def _move_outcome(move, t):
+    try:
+        return move(t)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestRanking:
+    def test_degree_descending_then_id_ascending(self):
+        # callers pass range(n) or adjacency lists, both ascending
+        for t in _ranking_trees():
+            for vertices in (range(t.n), *t.adjacency):
+                assert _ranked(t, vertices) == _key_ranked(t, vertices), t.edges
+
+    def test_moves_unchanged_under_the_explicit_key(self, monkeypatch):
+        trees = list(_ranking_trees())
+        moved = [[_move_outcome(move, t) for move in TRANSFORMS.values()] for t in trees]
+        monkeypatch.setattr(transforms, "_ranked", _key_ranked)
+        for t, records in zip(trees, moved):
+            assert [_move_outcome(move, t) for move in TRANSFORMS.values()] == records, t.edges
 
 
 class TestClaimedSigns:

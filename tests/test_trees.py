@@ -18,6 +18,7 @@ from conftest import (
 )
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from reference_tree import validate_edges
 
 import treedex
 from treedex import (
@@ -108,6 +109,69 @@ class TestRejection:
         dropped = rng.randrange(len(t.edges))
         with pytest.raises(ValueError, match="disconnected"):
             Tree(t.n, t.edges[:dropped] + t.edges[dropped + 1:])
+
+
+MUTATIONS = ("none", "self-loop", "duplicate", "id out of range", "negative id", "extra edge",
+             "missing edge", "cycle beside an isolated vertex")
+
+
+def _mutated(t: Tree, mutation: str, rng: random.Random) -> list[tuple[int, int]]:
+    """t relabelled at random, with one mutation, its edges and their ends
+    in random order."""
+    perm = list(range(t.n))
+    rng.shuffle(perm)
+    s = Tree(t.n, tuple((perm[u], perm[v]) for u, v in t.edges))
+    edges = list(s.edges)
+    n, i = s.n, rng.randrange(len(edges))
+    u = rng.randrange(n)
+    bad = {"self-loop": (u, u), "duplicate": edges[i],
+           "id out of range": (u, n + rng.randrange(3)), "negative id": (u, -1 - rng.randrange(3)),
+           "extra edge": (u, rng.choice([v for v in range(n) if v != u]))}.get(mutation)
+    if bad is not None:
+        if mutation in ("self-loop", "id out of range", "negative id") and rng.random() < 0.5:
+            edges[i] = bad  # n - 1 entries again
+        else:
+            edges.append(bad)
+    elif mutation == "missing edge":
+        del edges[i]
+    elif mutation == "cycle beside an isolated vertex":
+        # cut a pendant off and join two other non-adjacent vertices: n - 1 edges again
+        x = rng.choice([v for v in range(n) if s.degrees[v] == 1])
+        edges.remove(next(e for e in edges if x in e))
+        y = rng.choice([v for v in range(n)
+                        if v != x and s.degrees[v] < n - 2 + (v in s.adjacency[x])])
+        edges.append((y, rng.choice([v for v in range(n) if v not in (x, y, *s.adjacency[y])])))
+    rng.shuffle(edges)
+    return [e if rng.random() < 0.5 else e[::-1] for e in edges]
+
+
+def _outcome(build, n, edges):
+    try:
+        return build(n, edges)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestDiagnosis:
+    """Tree raises what the reference validator raises, first error first."""
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    @given(prufer_trees(max_n=40), st.randoms(use_true_random=False))
+    def test_same_error_as_the_reference(self, mutation, t, rng):
+        assume(t.n >= 4 or mutation != "cycle beside an isolated vertex")
+        edges = _mutated(t, mutation, rng)
+        expected = _outcome(validate_edges, t.n, edges)
+        assert _outcome(lambda n, e: Tree(n, e).edges, t.n, edges) == expected
+        assert (mutation == "none") == isinstance(expected[0], tuple), expected
+
+    @pytest.mark.parametrize("n, edges", [
+        (1, ()), (0, ()), (-1, ()), (1, ((0, 0),)), (1, ((0, 1),)), (2, ()), (2, ((0, 0),)),
+        (3, ((0, 1), (0, 1))), (3, ((0, 1), (1, 2), (2, 0))), (4, ((0, 1), (1, 2), (2, 0))),
+        (4, ((0, 1), (1, 2), (2, 0), (-1, 3))), (3, ((0, 1), (1, 3))), (3, ((0, 1), (1, -1))),
+    ])
+    def test_same_error_as_the_reference_at_the_edges(self, n, edges):
+        assert _outcome(Tree, n, edges) == _outcome(
+            lambda n, e: Tree(n, validate_edges(n, e)), n, edges)
 
 
 class TestTreeType:
