@@ -2,11 +2,11 @@
 
 Subcommands: index, bound, construct, enumerate, transform, squeeze,
 verify. Exit codes: 0 success, 1 usage error, 2 validation error (bad
-tree, bad constraint, or an index parameter whose value overflows a
-float on the given input); verify exits 0 even when cells are REFUTED.
-Output is human-readable by default, --json switches to the machine
-schema. Timing goes to stderr so identical invocations produce
-byte-identical output.
+tree or constraint, an index parameter whose value overflows a float
+on the given input, or an order too large for memory); verify exits 0
+even when cells are REFUTED. Output is human-readable by default,
+--json switches to the machine schema. Timing goes to stderr so
+identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -360,6 +360,9 @@ def main(argv=None) -> int:
         return 2
     except OverflowError as exc:  # whether alpha/a overflows depends on the tree
         print(f"treedex: index value overflows a float: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # bound and construct build all n degrees or vertices
+        print(f"treedex: {args.command}: out of memory", file=sys.stderr)
         return 2
 
 

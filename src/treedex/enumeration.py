@@ -13,9 +13,14 @@ alone, so it yields every tree's parents and degree counts with its
 levels. It keeps what its canonical-rooting test reads between steps
 too, so a step costs its rewritten suffix alone (2.0 vertices on
 average at n = 17). It is the one decoder of a level sequence:
-free_trees and family_members build Trees from its parents, and the
-verify census reads each witness's edges off them, never building or
-coding a tree.
+free_trees and family_members build Trees from its parents.
+
+The census (_census) gives verify the witnesses of the classes a run
+writes out, from one walk per order that keeps only their trees, which
+_members matches to classes by degree counts, as for family_members.
+Each class comes in canonical code order by a key read off the
+centre-rooted level sequences (_rank_key), and each edge text is read
+off the walk's parents: no witness is coded or built as a Tree.
 
 Every non-increasing positive n-tuple summing to 2(n - 1) is the degree
 sequence of some tree, one per partition of n - 2. Each order has one
@@ -40,10 +45,14 @@ from functools import lru_cache
 from itertools import accumulate, product
 
 from .bounds import FAMILY_PARAM, FamilyConstraint, family_param
-from .trees import DegreeSequence, Tree, _adjacency, _peel_code
+from .trees import DegreeSequence, Tree, _adjacency, _edge_text, _peel_code
 from .trees import canonical_code  # noqa: F401  (looked up here by perfbench/tracer.py)
 
 DEFAULT_MAX_N = 18
+
+# "p v" edge line of each vertex pair below the order cap
+_EDGE_LINES = tuple(tuple(_edge_text([(p, v)]) for v in range(DEFAULT_MAX_N))
+                    for p in range(DEFAULT_MAX_N))
 
 
 def _check_order(n: int) -> None:
@@ -206,6 +215,16 @@ def free_trees(n: int):
         yield Tree(n, tuple(zip(parents[1:], range(1, n))))
 
 
+def _members(n: int, wanted):
+    """(class, levels, parents) of each n-vertex tree of a wanted class,
+    in free_trees order; parents is the walk's own list."""
+    by_counts = {_degree_counts(ds): ds for ds in wanted}
+    for levels, counts, parents in _level_sequences(n):
+        ds = by_counts.get(counts)
+        if ds is not None:
+            yield ds, levels, parents
+
+
 def family_members(c: FamilyConstraint):
     """Members of PT/ST/BT(n, param), or of all trees, in free_trees order.
 
@@ -213,10 +232,48 @@ def family_members(c: FamilyConstraint):
     walk's degree counts are checked against the family's degree
     sequences, so only members are built as trees.
     """
-    members = set(map(_degree_counts, _families(c.n)[c.kind, c.param]))
-    for _, counts, parents in _level_sequences(c.n):
-        if counts in members:
-            yield Tree(c.n, tuple(zip(parents[1:], range(1, c.n))))
+    for _, _, parents in _members(c.n, _families(c.n)[c.kind, c.param]):
+        yield Tree(c.n, tuple(zip(parents[1:], range(1, c.n))))
+
+
+def _rank_key(levels: bytes) -> bytes:
+    """Sort key of a census tree: witnesses take descending key order,
+    which is ascending canonical_code order.
+
+    The key is the larger of the level sequences rooted at each centre.
+    The walk roots a tree at a centre, with the root's subtrees in
+    descending order, so a unicentral tree's key is its level sequence.
+    A tree is bicentral when the root's first subtree, which ends at m,
+    is as deep as the rest; its second centre is vertex 1, and `other`
+    roots the tree there. A larger level sequence has a smaller code,
+    since a deeper subtree opens with more '(' where the code sorts '('
+    before ')'; tests/test_verify.py checks this on every tree to n = 15.
+    """
+    m = levels.find(1, 2)
+    if m < 0:  # the root has one child: n = 2
+        m = len(levels)
+    if max(levels[m:], default=0) != max(levels[1:m]) - 1:
+        return levels
+    other = bytes([0, 1, *(lev + 1 for lev in levels[m:]), *(lev - 1 for lev in levels[2:m])])
+    return max(levels, other)
+
+
+def _census(n: int, wanted) -> dict[DegreeSequence, tuple[str, ...]]:
+    """Each wanted class of order n -> its trees' edge texts in witness
+    order (descending _rank_key), from one walk.
+
+    An edge text, the ascending (parent, child) pairs Tree.edge_text
+    writes, is read off the walk's parents by a stable sort of the
+    children by parent, each line from a table. Nothing of the other
+    trees is kept, and verdicts never read the census.
+    """
+    members = {ds: [] for ds in wanted}
+    for ds, levels, parents in _members(n, members):
+        children = sorted(range(1, n), key=parents.__getitem__)
+        members[ds].append((_rank_key(levels),
+                            "\n".join([_EDGE_LINES[parents[v]][v] for v in children])))
+    return {ds: tuple(text for _, text in sorted(held, reverse=True))
+            for ds, held in members.items()}
 
 
 def _prufer_edges(seq: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:

@@ -12,18 +12,15 @@ group of its order's one table (enumeration._families), so a verdict is
 read off one index value per degree sequence: each (n, index) keeps a
 memo that a sequence enters the first time a scanned family contains
 it. No tree is built for a verdict. A cell's witnesses, every tree of
-every optimal sequence, come from the level-sequence census only when
-the cell is written out (--report, --csv, --json): one walk per order
-keeps the trees of the winning classes and nothing of the others. The
-members are put in canonical code order by a key read off their
-centre-rooted level sequences, so no witness is coded, and each
-member's edge list is read off the parents the walk carries; no Tree
-object is built. Each built class is held once, as a plain tuple of
-its edge texts; a class read before it was built is built with its
-whole order, in that order's one walk. A writer call encodes a class
-the first time it writes it, and its encodings go when it returns; the
-writers write one cell at a time to the file they are given, so a
-report is never held whole in memory.
+every optimal sequence, are made only when the cell is written out
+(--report, --csv, --json): enumeration._census gives each winning
+class's edge texts, already in witness order, from one walk per order.
+Each built class is held once, as a plain tuple of its edge texts; a
+class read before it was built is built with its whole order, in that
+order's one walk. A writer call encodes a class the first time it
+writes it, and its encodings go when it returns; the writers write one
+cell at a time to the file they are given, so a report is never held
+whole in memory.
 
 All outputs are deterministic: identical inputs produce byte-identical
 JSON and CSV documents (no timestamps or wall-clock data inside).
@@ -46,15 +43,9 @@ from .bounds import (
     family_params,
     theorem_bound,
 )
-from .enumeration import (
-    DEFAULT_MAX_N,
-    _degree_counts,
-    _families,
-    _level_sequences,
-    free_trees,
-)
+from .enumeration import _census, _families, free_trees
 from .indices import ABS_TOL, REL_TOL, WINDOW_LOW_A, Index, values_close
-from .trees import DegreeSequence, _edge_text, canonical_code
+from .trees import DegreeSequence, canonical_code
 from .transforms import TRANSFORMS, claimed_sign
 
 CONFIRMED = "CONFIRMED"
@@ -67,69 +58,18 @@ DEFAULT_A_GRID = (0.2, 0.3, WINDOW_LOW_A + 0.01, 0.6, 0.9, 1.5, 2.0)
 _AUDIT_N_LO, _AUDIT_N_HI = 6, 14
 
 
-def _rank_key(levels: bytes) -> bytes:
-    """Sort key of a census tree: witnesses take descending key order,
-    which is ascending canonical_code order.
-
-    The key is the larger of the level sequences rooted at each centre.
-    The census roots a tree at a centre, with the root's subtrees in
-    descending order, so a unicentral tree's key is its level sequence.
-    A tree is bicentral when the root's first subtree, which ends at m,
-    is as deep as the rest; its second centre is vertex 1, and `other`
-    roots the tree there. A larger level sequence has a smaller code,
-    since a deeper subtree opens with more '(' where the code sorts '('
-    before ')'; tests/test_verify.py checks this on every tree to n = 15.
-    """
-    m = levels.find(1, 2)
-    if m < 0:  # the root has one child: n = 2
-        m = len(levels)
-    if max(levels[m:], default=0) != max(levels[1:m]) - 1:
-        return levels
-    other = bytes([0, 1, *(lev + 1 for lev in levels[m:]), *(lev - 1 for lev in levels[2:m])])
-    return max(levels, other)
-
-
-# "p v" edge line of each vertex pair below the order cap
-_EDGE_LINES = tuple(tuple(_edge_text([(p, v)]) for v in range(DEFAULT_MAX_N))
-                    for p in range(DEFAULT_MAX_N))
-
-
-def _census(n: int, wanted) -> dict[DegreeSequence, list[tuple[bytes, str]]]:
-    """Each wanted class of order n -> (_rank_key, edge text) of each
-    of its trees, in free_trees order, from one walk.
-
-    A tree joins its class by the degree counts the walk carries; its
-    edge text, the ascending (parent, child) pairs Tree.edge_text writes,
-    is read off the walk's parents by a stable sort of the children by
-    parent, each line from a table. No Tree is built, nothing of the
-    other trees is kept, and verdicts never read the census.
-    """
-    members = {ds: [] for ds in wanted}
-    by_counts = {_degree_counts(ds): held for ds, held in members.items()}
-    for levels, counts, parents in _level_sequences(n):
-        held = by_counts.get(counts)
-        if held is not None:
-            children = sorted(range(1, n), key=parents.__getitem__)
-            held.append((_rank_key(levels),
-                         "\n".join([_EDGE_LINES[parents[v]][v] for v in children])))
-    return members
-
-
 # The edge texts of every class built so far, by degree sequence.
 _WITNESSES: dict[DegreeSequence, tuple[str, ...]] = {}
 
 
 def _build(classes) -> None:
-    """Build each class not yet held, with one census walk per order:
-    its edge texts in canonical code order (descending `_rank_key`, so
-    none is coded)."""
+    """Build each class not yet held, with one census walk per order."""
     by_order: dict[int, set[DegreeSequence]] = {}
     for ds in classes:
         if ds not in _WITNESSES:
             by_order.setdefault(len(ds), set()).add(ds)
     for n, wanted in by_order.items():
-        for ds, members in _census(n, wanted).items():
-            _WITNESSES[ds] = tuple(text for _, text in sorted(members, reverse=True))
+        _WITNESSES.update(_census(n, wanted))
 
 
 def _witnesses(ds: DegreeSequence) -> tuple[str, ...]:

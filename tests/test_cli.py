@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -566,9 +567,31 @@ class TestVerifyCommand:
         ]
 
 
+# Orders too large for memory: bound builds its equality sequence's n
+# degrees, and construct the whole tree.
+HUGE_ORDERS = (
+    ("bound", "--theorem", "pt-balanced", "--n", "100000000", "--n1", "3", "--alpha", "2"),
+    ("bound", "--theorem", "star", "--n", "10000000000", "--alpha", "2"),
+    ("construct", "--theorem", "star", "--n", "10000000"),
+)
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("argv", HUGE_ORDERS, ids=lambda argv: " ".join(argv[:5]))
+    def test_out_of_memory_validation_error(self, argv):
+        # a 400 MB address-space cap, set in the child alone, makes each
+        # run fail soon: one message line and exit 2, not a traceback
+        cap = 400 * 2**20
+        proc = subprocess.run(
+            [sys.executable, "-m", "treedex", *argv], capture_output=True, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)), timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(Path(treedex.__file__).parents[1])),
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"treedex: {argv[0]}: out of memory\n"
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

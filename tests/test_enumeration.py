@@ -3,11 +3,12 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 from conftest import all_free_trees, path_tree, star_tree
+from reference_census import automorphisms, census_errors, labeled_count
 from reference_levels import level_degrees, level_parents, level_sequences, tree_from_levels
 
 import treedex
@@ -17,20 +18,21 @@ from treedex import (
     FamilyConstraint,
     Tree,
     canonical_code,
+    check_theorem,
     family_members,
     free_tree_count_by_prufer,
     free_trees,
     labeled_trees_prufer,
     structural_profile,
 )
-from treedex.bounds import family_param, family_params
+from treedex.bounds import THEOREM_NAMES, family_param, family_params
 from treedex.enumeration import (
+    _census,
     _degree_counts,
     _families,
     _level_sequences,
     _prufer_edges,
 )
-from treedex.verify import _census
 
 # Distinct tree shapes per vertex count, derived from the Prüfer-decode
 # oracle (run live below for small n).
@@ -188,8 +190,48 @@ class TestWalk:
         census = _census(17, _families(17)[None, None])
         assert sum(map(len, census.values())) == 48629  # OEIS A000055
         assert tuple(census) == _families(17)[None, None] and all(census.values())
-        assert all(len(key) == 17 and text.count("\n") == 15
-                   for members in census.values() for key, text in members)
+        assert all(text.count("\n") == 15 for members in census.values() for text in members)
+
+
+class TestCensusOracle:
+    """Each census class against its labeled count (tests/reference_census.py)."""
+
+    def test_automorphisms_match_brute_force(self):
+        for n in range(2, 8):
+            for t in all_free_trees(n):
+                edges = {frozenset(e) for e in t.edges}
+                expected = sum(all(frozenset((p[u], p[v])) in edges for u, v in t.edges)
+                               for p in permutations(range(n)))
+                assert automorphisms(t.edge_text()) == expected, t.edges
+
+    def test_labeled_counts_sum_to_cayley(self):
+        for n in range(2, 19):
+            assert sum(map(labeled_count, _families(n)[None, None])) == n ** (n - 2)
+
+    def test_census_sums_to_labeled_counts(self):
+        for n in range(2, 16):
+            assert census_errors(n, _census(n, _families(n)[None, None])) == [], n
+
+    def test_winning_classes_sum_to_labeled_counts(self):
+        # the census of a run's winning classes alone, at n = 16
+        reports = [r for theorem in THEOREM_NAMES for r in check_theorem(theorem, [16])]
+        winners = {ds for r in reports for ds in r.optimal_degseqs}
+        assert census_errors(16, _census(16, winners), complete=False) == []
+
+    def test_oracle_finds_each_mutation(self):
+        census = _census(10, _families(10)[None, None])
+        classes = list(census)
+        for k, ds in enumerate(classes):
+            text, *rest = census[ds]
+            other = classes[k - 1]
+            dropped = {**census, ds: tuple(rest)}
+            repeated = {**census, ds: (text, *census[ds])}
+            moved = {**census, ds: tuple(rest), other: (*census[other], text)}
+            for mutant in (dropped, repeated, moved):
+                errors = census_errors(10, mutant)
+                assert any(error.startswith(f"class {tuple(ds)}:") for error in errors), ds
+            errors = census_errors(10, moved)
+            assert any(error.startswith(f"class {tuple(other)}:") for error in errors), other
 
 
 def heap_prufer_edges(seq, n):

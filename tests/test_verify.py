@@ -44,17 +44,17 @@ from treedex import (
 from treedex.bounds import THEOREM_DIRECTIONS, THEOREM_FAMILY, THEOREM_NAMES, family_params
 from treedex.cli import main
 from treedex.enumeration import (
+    _census,
     _degree_counts,
     _families,
     _level_sequences,
+    _rank_key,
 )
 from treedex.indices import KEYWORDS
 from treedex.trees import _adjacency, _edge_text, _peel_code
 from treedex.verify import (
     _WITNESSES,
     CSV_COLUMNS,
-    _census,
-    _rank_key,
     _values,
     _witnesses,
     build_witnesses,
