@@ -41,9 +41,9 @@ def family_params(kind: str | None, n: int) -> range | tuple[None, ...]:
     return range(1, (n - 2) // 2 + 1) if kind == "bt" else range(3, n - 1)
 
 
-def family_param(kind: str, stats) -> int:
-    """The family parameter read off a DegreeSequence."""
-    return getattr(stats, FAMILY_PARAM[kind][0])
+def family_param(kind: str | None, stats) -> int | None:
+    """The family parameter read off a DegreeSequence; None for all trees."""
+    return None if kind is None else getattr(stats, FAMILY_PARAM[kind][0])
 
 
 @dataclass(frozen=True)
@@ -240,18 +240,12 @@ def theorem_bound(theorem: str, n: int, param: int | None = None, *,
 def construct_extremal(theorem: str, n: int, param: int | None = None) -> Tree:
     """Caterpillar realization of a theorem's equality degree sequence.
 
-    The result is checked for family membership and, at a representative
-    exponent, for agreement between the closed form and the realization.
+    The result is checked for its family parameter and against the closed
+    form at alpha = 2, which among all trees only the star reaches.
     """
     bound = theorem_bound(theorem, n, param, alpha=2.0)
     tree = realize_caterpillar(bound.equality_degseq)
-    degseq = tree.degree_sequence()
-    family = THEOREM_FAMILY[theorem]
-    if family is None:
-        member = degseq.max_degree == n - 1
-    else:
-        member = family_param(family, degseq) == param
-    if not member:
+    if family_param(THEOREM_FAMILY[theorem], tree.degree_sequence()) != param:
         raise ValueError(f"{theorem} realization for n={n}, param={param} is not in the family")
     if not values_close(Index.of(alpha=2.0).of_tree(tree), bound.value):
         raise ValueError(f"{theorem} realization for n={n}, param={param} misses the closed form")

@@ -315,7 +315,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="list trees as edge-list blocks")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", choices=("pt", "st", "bt"))
+    p.add_argument("--family", choices=FAMILY_PARAM)
     p.add_argument("--param", type=int, help="family parameter (n1, k, or b)")
     p.add_argument("--out", help="write to this file instead of stdout")
     p.set_defaults(func=_cmd_enumerate)

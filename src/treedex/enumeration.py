@@ -81,8 +81,8 @@ def _families(n: int) -> dict[tuple[str | None, int | None], tuple[DegreeSequenc
     groups = {}
     for parts in _partitions(n - 2, n - 2):
         ds = DegreeSequence(tuple(p + 1 for p in parts) + (1,) * (n - len(parts)))
-        for key in ((None, None), *((kind, family_param(kind, ds)) for kind in FAMILY_PARAM)):
-            groups.setdefault(key, []).append(ds)
+        for kind in (None, *FAMILY_PARAM):
+            groups.setdefault((kind, family_param(kind, ds)), []).append(ds)
     return {key: tuple(group) for key, group in groups.items()}
 
 

@@ -115,17 +115,6 @@ def apply_p2(t: Tree) -> MoveRecord:
                    [(deg[u], deg[u] - 1), (deg[v], deg[v] + 1)])
 
 
-def _branch_end(t: Tree, u: int, root: int) -> tuple[int, int, int]:
-    # (-depth, end, root): the branch of u at neighbor `root` and its
-    # deepest vertex, ties resolved to the smallest id; sorts deepest first.
-    order, parent = t.bfs(root, avoid=u)
-    depth = [1] * t.n
-    for x in order[1:]:
-        depth[x] = depth[parent[x]] + 1
-    deepest = depth[order[-1]]
-    return -deepest, min(x for x in order if depth[x] == deepest), root
-
-
 def apply_b1(t: Tree) -> MoveRecord:
     """Detach one off-path neighbor of a degree->=4 vertex and append it
     to the endpoint of a longest path through that vertex."""
@@ -133,8 +122,17 @@ def apply_b1(t: Tree) -> MoveRecord:
     u = _ranked(t, range(t.n))[0]
     if deg[u] < 4:
         raise ValueError("maximum degree is at most 3")
+    # one walk from u: each branch's end is the smallest id on its last, deepest level
+    order, parent = t.bfs(u)
+    depth, branch, end = [0] * t.n, [0] * t.n, list(range(t.n))
+    for x in order[1:]:
+        p = parent[x]
+        r = branch[x] = x if p == u else branch[p]
+        d = depth[x] = depth[p] + 1
+        if d > depth[end[r]] or x < end[r]:
+            end[r] = x
     # the two deepest branches make the longest path; ties go to the smallest ends
-    (_, e1, r1), (_, e2, r2) = sorted(_branch_end(t, u, r) for r in t.adjacency[u])[:2]
+    (_, e1, r1), (_, e2, r2) = sorted((-depth[end[r]], end[r], r) for r in t.adjacency[u])[:2]
     endpoint = max(e1, e2)
     w = _ranked(t, (x for x in t.adjacency[u] if x not in (r1, r2)))[0]
     # the endpoint is the deepest vertex of its branch, hence a pendant

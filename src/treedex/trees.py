@@ -8,8 +8,8 @@ The canonical code is a leaf peel over adjacency lists (`_peel_code`)
 that also checks the graph is a tree. `canonical_code` runs it on a
 Tree, and the Prüfer oracle on the lists of the first decode of each
 rooted shape, building no Tree.
-`_edge_text` is the one edge-text formatter; verify's witnesses take
-their edge lines from a table it formats.
+`_edge_text` is the one edge-text formatter; the census takes its
+witnesses' edge lines from a table it formats (enumeration._EDGE_LINES).
 """
 
 from __future__ import annotations
@@ -75,19 +75,17 @@ class Tree:
     def degree_sequence(self) -> DegreeSequence:
         return DegreeSequence(self.degrees)
 
-    def bfs(self, root: int, avoid: int = -1) -> tuple[list[int], list[int]]:
-        """Breadth-first walk from root that never enters `avoid`.
-
-        Returns the reached vertices in visiting order and a parent list
-        indexed by vertex: -1 at the root, -2 where the walk did not reach.
-        """
+    def bfs(self, root: int) -> tuple[list[int], list[int]]:
+        """Breadth-first walk from root: the vertices in visiting order
+        and each one's parent, -1 at the root and -2 if not reached, which
+        only construction's connectivity check can see."""
         adjacency = self.adjacency
         parent = [-2] * self.n
         parent[root] = -1
         order = [root]
         for x in order:
             for y in adjacency[x]:
-                if parent[y] == -2 and y != avoid:
+                if parent[y] == -2:
                     parent[y] = x
                     order.append(y)
         return order, parent

@@ -334,7 +334,8 @@ class TestConstructExtremal:
         monkeypatch.setattr(bounds, "realize_caterpillar", lambda d: path_tree(len(d)))
         with pytest.raises(ValueError, match="not in the family"):
             construct_extremal("pt-spider", 8, 3)
-        with pytest.raises(ValueError, match="not in the family"):
+        # a path is a tree, so only the closed form refuses it for the star
+        with pytest.raises(ValueError, match="closed form"):
             construct_extremal("star", 8)
         # same family BT(8, 2), but not the equality sequence (5, 3, 1^6)
         other = DegreeSequence((3, 3, 2, 2, 1, 1, 1, 1))

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from conftest import double_broom, path_tree, prufer_trees, spider, star_tree, trees_up_to
@@ -118,6 +119,48 @@ class TestB1:
         m = apply_b1(t)
         assert degmulti(m.after) == (4, 2, 2, 1, 1, 1, 1)
         assert structural_profile(m.after).b == structural_profile(m.before).b == 1
+
+    def test_equals_per_branch_reference(self):
+        for t in _b1_trees():
+            if max(t.degrees) < 4:
+                with pytest.raises(ValueError):
+                    apply_b1(t)
+                continue
+            m = apply_b1(t)
+            actors, after = b1_reference(t)
+            assert (m.actors, m.after) == (actors, after), t.edges
+
+
+def b1_reference(t: Tree) -> tuple[tuple[int, int, int], Tree]:
+    """b1's actors (u, w, endpoint) and its tree after, by one search per
+    branch: a breadth-first walk from each neighbour r of u that never
+    enters u, keyed by (-depth, smallest id at that depth, r)."""
+    deg = t.degrees
+    u = min(range(t.n), key=lambda v: (-deg[v], v))
+    keys = []
+    for r in t.adjacency[u]:
+        depth = {u: 0, r: 1}  # u at depth 0 is never entered
+        queue = deque([r])
+        while queue:
+            x = queue.popleft()
+            for y in t.adjacency[x]:
+                if y not in depth:
+                    depth[y] = depth[x] + 1
+                    queue.append(y)
+        deepest = max(depth.values())
+        keys.append((-deepest, min(x for x, d in depth.items() if d == deepest), r))
+    (_, e1, r1), (_, e2, r2) = sorted(keys)[:2]
+    endpoint = max(e1, e2)
+    w = min((x for x in t.adjacency[u] if x not in (r1, r2)), key=lambda v: (-deg[v], v))
+    return (u, w, endpoint), t.replace_edges([(u, w)], [(w, endpoint)])
+
+
+def _b1_trees():
+    """Every free tree of n 4..12, then 50 seeded random labeled trees at n = 200."""
+    yield from trees_up_to(12, lo=4)
+    rng = random.Random(200)
+    for _ in range(50):
+        yield Tree(200, _prufer_edges(tuple(rng.randrange(200) for _ in range(198)), 200))
 
 
 class TestB3:

@@ -191,8 +191,6 @@ class TestTreeType:
     def test_bfs(self):
         t = spider(3, 2)
         assert t.bfs(3) == ([3, 2, 1, 0, 4, 5], [1, 2, 3, -1, 0, 4])
-        # avoid stops the walk; unreached vertices read -2
-        assert t.bfs(1, avoid=0) == ([1, 2, 3], [-2, -1, 1, 2, -2, -2])
         for t in trees_up_to(9):
             for root in range(t.n):
                 order, parent = t.bfs(root)

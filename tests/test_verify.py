@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import sys
@@ -11,6 +12,7 @@ import pytest
 from conftest import all_free_trees
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_census import census_errors
 from reference_levels import level_parents, tree_from_levels
 
 import treedex.enumeration as enumeration
@@ -182,7 +184,7 @@ class TestPartitionEngine:
         for theorem in THEOREM_NAMES:
             check_theorem(theorem, orders)
         assert set(calls.values()) == {1}
-        assert set(calls) == {(kind, ds) for kind in ("pt", "st", "bt") for n in orders
+        assert set(calls) == {(kind, ds) for kind in (None, "pt", "st", "bt") for n in orders
                               for ds in _families(n)[None, None]}
         for n in orders:
             made = set(map(id, _families(n)[None, None]))
@@ -715,6 +717,87 @@ class TestWriters:
                     tracemalloc.stop()
             assert peak < len(document) / 4, (writer.__name__, peak, len(document))
             assert path.read_bytes() == document.encode()
+
+
+def report_errors(reports, cells) -> list[str]:
+    """What is wrong with the witnesses of the parsed report cells, read
+    only from their edge texts. A cell's witnesses, filed by the degree
+    multiset of each text, must be its report's optimal_degseqs in order,
+    each class's texts together; every cell that lists a class lists the
+    same texts; and each class's texts must sum to its labeled count
+    (tests/reference_census.py)."""
+    degrees = {}  # each distinct text's degree multiset, read once
+    census = {}  # n -> class -> its texts
+    errors = []
+    for r, cell in zip(reports, cells, strict=True):
+        filed = {}
+        for text in cell["witnesses"]:
+            if text not in degrees:
+                degrees[text] = tuple(sorted(Counter(text.split()).values(), reverse=True))
+            filed.setdefault(degrees[text], []).append(text)
+        where = f"{r.theorem} n={r.n} param={r.param} {r.index_kind}={r.index_param}"
+        together = [text for texts in filed.values() for text in texts]
+        if tuple(filed) != r.optimal_degseqs or together != cell["witnesses"]:
+            errors.append(f"{where}: witnesses are not its classes in order")
+        for ds, texts in filed.items():
+            if census.setdefault(r.n, {}).setdefault(ds, texts) != texts:
+                errors.append(f"{where}: class {ds} lists other texts than an earlier cell")
+    for n, classes in census.items():
+        errors += census_errors(n, classes, complete=False)
+    return errors
+
+
+class TestReportOracle:
+    """The --report witnesses, parsed back and checked by labeled counts."""
+
+    def test_report_witnesses_are_complete(self):
+        reports = all_theorems(range(6, 17))
+        cells = json.loads(written(reports_to_json, reports))
+        assert report_errors(reports, cells) == []
+        # the cells to n = 14 are the report bytes test_golden_bytes pins
+        head = written(reports_to_json, [r for r in reports if r.n <= 14]).encode()
+        assert hashlib.sha256(head).hexdigest() == (
+            "65033741a216208ee70530be3c72d4f96153a151648057f058c8ca720298c780")
+
+    def test_oracle_finds_each_mutation(self):
+        reports = all_theorems(range(6, 11))
+        cells = json.loads(written(reports_to_json, reports))
+        holders = {}  # each class that alone wins a cell at n = 10 -> those cells
+        for i, r in enumerate(reports):
+            if r.n == 10 and len(r.optimal_degseqs) == 1:
+                holders.setdefault(r.optimal_degseqs[0], []).append(i)
+        a = next(ds for ds, held in holders.items()
+                 if len(held) > 1 and len(cells[held[0]]["witnesses"]) > 1)
+        b = next(ds for ds in holders if ds != a)
+        text = cells[holders[a][0]]["witnesses"][0]
+
+        def mutant(change_a, change_b, every):
+            # change_a on the witnesses of the first or every cell class a
+            # alone wins, change_b likewise for class b
+            out = list(cells)
+            for ds, change in ((a, change_a), (b, change_b)):
+                for i in holders[ds] if every else holders[ds][:1]:
+                    out[i] = {**cells[i], "witnesses": change(cells[i]["witnesses"])}
+            return out
+
+        def keep(ws):
+            return ws
+
+        def drop(ws):
+            return [w for w in ws if w != text]
+
+        def repeat(ws):
+            return [text, *ws]
+
+        def add(ws):
+            return [*ws, text]
+
+        for every in (False, True):
+            for change_a, change_b in ((drop, keep), (repeat, keep), (drop, add)):
+                errors = report_errors(reports, mutant(change_a, change_b, every))
+                assert errors, (change_a.__name__, change_b.__name__, every)
+                if every:  # only the labeled count sees a change made in every cell
+                    assert any(e.startswith(f"class {a}:") for e in errors), errors
 
 
 # finite floats, with the ones whose repr is shortest-digits, subnormal or
