@@ -30,19 +30,22 @@ family's group, family_members builds the trees whose counts match it.
 
 A Prüfer-decode generator over all n^(n-2) labeled trees is included as
 the independent cross-check oracle for small n. The oracle's count
-checks every decode is a tree and interns its shape rooted at n - 1 in
-the same pass over its edges, which come in removal order; each
-vertex's multiset of child shapes is one integer, a base-n number
-whose digits count the children of each shape. Only the first decode
-of each rooted shape, A000081(n) of them, is coded, from its adjacency
-lists with the leaf peel behind canonical_code, so the count builds no
-Tree; labeled_trees_prufer still yields validated Trees.
+decodes the sequences grouped by the multiset of their entries: the
+arrangements of one multiset that share a prefix share its decode
+state, so a depth-first placement of the entries decodes each prefix
+once and interns each removed leaf's shape rooted at n - 1 on the way
+down. Each vertex's multiset of child shapes is one integer, a base-n
+number whose digits count the children of each shape. Only the first
+decode of each rooted shape, A000081(n) of them, is coded, from its
+adjacency lists with the leaf peel behind canonical_code, so the count
+builds no Tree; labeled_trees_prufer still yields validated Trees, in
+`product` order.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, combinations_with_replacement, product
 
 from .bounds import FAMILY_PARAM, FamilyConstraint, family_param
 from .trees import DegreeSequence, Tree, _adjacency, _edge_text, _peel_code
@@ -292,58 +295,91 @@ def _prufer_edges(seq: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-def _prufer_decodes(n: int):
-    """Edges of every labeled tree on n vertices, one per Prüfer sequence."""
+def labeled_trees_prufer(n: int):
+    """Every labeled tree on n vertices, decoded from its Prüfer sequence
+    in `product` order.
+
+    n^(n-2) validated Trees; the independent oracle behind the canonical
+    generator.
+    """
     if n < 2:
         raise ValueError("labeled trees require n >= 2")
     for seq in product(range(n), repeat=n - 2):
-        yield _prufer_edges(seq, n)
-
-
-def labeled_trees_prufer(n: int):
-    """Every labeled tree on n vertices, decoded from its Prüfer sequence.
-
-    n^(n-2) trees; the independent oracle behind the canonical generator.
-    """
-    for edges in _prufer_decodes(n):
-        yield Tree(n, edges)
+        yield Tree(n, _prufer_edges(seq, n))
 
 
 def free_tree_count_by_prufer(n: int) -> int:
     """Number of distinct canonical codes over all labeled trees.
 
-    A decode lists its edges (leaf, parent) in removal order, the last
-    one into n - 1, so one pass checks it is a tree and interns its
-    shape rooted at n - 1 (Aho, Hopcroft and Ullman 1974). Each vertex
-    keeps its children's multiset of shape ids as one integer, the sum
-    of n**id over them: a vertex has fewer than n children, so no base-n
-    digit carries and the integer names the multiset exactly. A removed
-    leaf's integer gets a shape id of its own, whose weight n**id goes
-    to its parent. It raises ValueError on a count of edges other than
-    n - 1, a leaf removed twice, a leaf n - 1, or a parent already
-    removed: with none of them, the edges are a tree rooted at n - 1.
-    Only the first decode of each rooted shape is coded, from its
-    adjacency lists by the peel behind canonical_code: A000081(n) peels
-    in all. No Tree is built.
+    The Prüfer sequences are decoded grouped by the multiset of their
+    entries. Vertex v appears deg(v) - 1 times in a sequence (Moon), and
+    each step's leaf is the smallest vertex not yet removed with no
+    entries left, so the arrangements of a multiset that share a prefix
+    share their decode state after it. A depth-first placement of each
+    multiset's entries computes that state once per prefix: deg holds 1
+    + each vertex's entries still to come (0 once removed), a step's
+    leaf is deg.index(1), its parent each distinct entry with some left,
+    and the last leaf joins n - 1.
+
+    Each removed leaf's shape rooted at n - 1 is interned on the way
+    down (Aho, Hopcroft and Ullman 1974). Each vertex keeps its
+    children's multiset of shape ids as one integer, the sum of n**id
+    over them: a vertex has fewer than n children, so no base-n digit
+    carries and the integer names the multiset exactly. A leaf's weight
+    n**id is added to its parent on the way down and taken back on the
+    way up. Only the first decode of each rooted shape is coded, from
+    the adjacency lists of its edges (each vertex to its parent on the
+    path) by the peel behind canonical_code: A000081(n) peels in all.
+    No Tree is built. It raises ValueError on a leaf n - 1, and unless
+    it made exactly n^(n-2) decodes (Cayley).
     """
+    if n < 2:
+        raise ValueError("labeled trees require n >= 2")
+    last = n - 1
     weights: dict[int, int] = {}  # child multiset -> n**(its shape id)
     codes: dict[int, bytes] = {}  # child multiset of n - 1 -> canonical code
-    for edges in _prufer_decodes(n):
-        if len(edges) != n - 1:
-            raise ValueError(f"not a tree: {len(edges)} edges on {n} vertices")
-        key = [0] * n  # each vertex's child multiset, -1 once it is removed
-        for leaf, parent in edges:
-            kids = key[leaf]
-            if kids < 0 or leaf == n - 1:
-                raise ValueError(f"not a tree: leaf {leaf} cannot be removed")
-            key[leaf] = -1
-            if key[parent] < 0:
-                raise ValueError(f"not a tree: leaf {leaf} joins removed vertex {parent}")
-            weight = weights.get(kids)
-            if weight is None:
-                weight = weights[kids] = n ** len(weights)
-            key[parent] += weight
-        root = key[n - 1]
-        if root not in codes:
-            codes[root] = _peel_code(_adjacency(n, edges))
+    # each vertex's parent on the placed path: a decode removes every
+    # vertex but n - 1 once, so at its end the list is its edges
+    up = [0] * last
+    decodes = 0
+
+    def place(left: int) -> None:
+        # Remove the next leaf, then give it each possible next entry as
+        # its parent, with `left` entries of the multiset still to come.
+        nonlocal decodes
+        leaf = deg.index(1)
+        if leaf == last:
+            raise ValueError(f"not a tree: leaf {leaf} cannot be removed")
+        kids = key[leaf]
+        weight = weights.get(kids)
+        if weight is None:
+            weight = weights[kids] = n ** len(weights)
+        if not left:
+            decodes += 1
+            root = key[last] + weight
+            if root not in codes:
+                up[leaf] = last
+                codes[root] = _peel_code(_adjacency(n, enumerate(up)))
+            return
+        deg[leaf] = 0
+        for parent in entries:
+            if deg[parent] > 1:
+                deg[parent] -= 1
+                key[parent] += weight
+                up[leaf] = parent
+                place(left - 1)
+                key[parent] -= weight
+                deg[parent] += 1
+        deg[leaf] = 1
+
+    for multiset in combinations_with_replacement(range(n), n - 2):
+        deg = [1] * n
+        for x in multiset:
+            deg[x] += 1
+        key = [0] * n  # each vertex's child multiset
+        entries = sorted(set(multiset))
+        place(len(multiset))
+    if decodes != n ** (n - 2):
+        raise ValueError(f"{decodes} decodes, not the n^(n-2) = {n ** (n - 2)} "
+                         f"labeled trees on {n} vertices (Cayley)")
     return len(set(codes.values()))

@@ -164,7 +164,7 @@ def test_criterion_07_shift_delta_threshold():
 
 
 # Oracle-derived shape counts. n=4..8 are recomputed live below;
-# n=9 (24 s on one core of a shared Xeon, Python 3.11) and n=10
+# n=9 (8-10 s on one core of a shared Xeon, Python 3.11) and n=10
 # (~10^8 decodes) were produced by the same free_tree_count_by_prufer
 # oracle offline and are frozen here.
 PRUFER_ORACLE_COUNTS = {4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}

@@ -252,16 +252,13 @@ def heap_prufer_edges(seq, n):
     return tuple(edges)
 
 
-# Edge lists that no Prüfer decode on 5 vertices can be, each swapped in for
-# the decode of BAD_SEQ; the peel would accept the last three as trees.
-BAD_SEQ = (2, 3, 1)
-BAD_DECODES = {
-    "self-loop": ((0, 2), (1, 1), (2, 3), (3, 4)),
-    "cycle": ((0, 1), (1, 2), (2, 0), (3, 4)),
-    "an edge short": ((0, 1), (1, 2), (2, 4)),
-    "edge into a removed vertex": ((0, 1), (2, 0), (1, 3), (3, 4)),
-    "leaf removed twice": ((0, 1), (0, 2), (2, 3), (3, 4)),
-    "last vertex as leaf": ((4, 0), (1, 0), (2, 0), (3, 0)),
+# Multiset feeds that leave out, repeat or add to the multisets the count
+# decodes at n = 5, each a lambda over `feed`, the real
+# combinations_with_replacement; each changes the number of decodes.
+MULTISET_MUTANTS = {
+    "one dropped": "lambda pool, r: [m for m in feed(pool, r) if m != (1, 2, 3)]",
+    "one repeated": "lambda pool, r: [*feed(pool, r), (1, 2, 3)]",
+    "a foreign one": "lambda pool, r: [*feed(pool, r), (0, 1)]",
 }
 
 
@@ -283,6 +280,9 @@ class TestPruferOracle:
     def test_too_small(self):
         with pytest.raises(ValueError, match="labeled trees require n >= 2"):
             next(labeled_trees_prufer(1))
+        for n in (1, 0):
+            with pytest.raises(ValueError, match="labeled trees require n >= 2"):
+                free_tree_count_by_prufer(n)
 
     def test_labeled_counts(self):
         # Cayley: n^(n-2) labeled trees
@@ -351,34 +351,62 @@ class TestPruferOracle:
             assert free_tree_count_by_prufer(n) == FREE_TREE_COUNTS[n]
             assert calls == [n] * expected
 
-    @pytest.mark.parametrize("edges", BAD_DECODES.values(), ids=BAD_DECODES)
-    def test_count_checks_every_decode(self, monkeypatch, edges):
-        # one bad decode among the 125 at n = 5 is caught by the count's own
-        # pass: the peel is stubbed out, so it cannot be what raises
-        decode = enumeration._prufer_edges
-        monkeypatch.setattr(enumeration, "_prufer_edges",
-                            lambda seq, n: edges if seq == BAD_SEQ else decode(seq, n))
+    @pytest.mark.parametrize("mutant", MULTISET_MUTANTS.values(), ids=MULTISET_MUTANTS)
+    def test_count_checks_every_decode(self, monkeypatch, mutant):
+        # the peel is stubbed out, so it cannot be what raises
+        feed = eval(mutant, {"feed": enumeration.combinations_with_replacement})
+        monkeypatch.setattr(enumeration, "combinations_with_replacement", feed)
         monkeypatch.setattr(enumeration, "_peel_code", lambda adjacency: b"")
-        with pytest.raises(ValueError, match="not a tree"):
+        with pytest.raises(ValueError, match=r"decodes, not the n\^\(n-2\) = 125 .*Cayley"):
             free_tree_count_by_prufer(5)
 
     def test_count_checks_every_decode_under_optimisation(self):
         script = (
             "import treedex.enumeration as enumeration\n"
-            "decode = enumeration._prufer_edges\n"
-            f"bad = {BAD_DECODES['last vertex as leaf']!r}\n"
-            f"enumeration._prufer_edges = lambda seq, n: bad if seq == {BAD_SEQ!r} "
-            "else decode(seq, n)\n"
-            "try:\n"
-            "    enumeration.free_tree_count_by_prufer(5)\n"
-            "except ValueError:\n"
-            "    raise SystemExit(0)\n"
-            "raise SystemExit('accepted a decode with leaf n - 1')\n"
+            "feed = enumeration.combinations_with_replacement\n"
+            "enumeration._peel_code = lambda adjacency: b''\n"
+            f"for mutant in {list(MULTISET_MUTANTS.values())!r}:\n"
+            "    enumeration.combinations_with_replacement = eval(mutant)\n"
+            "    try:\n"
+            "        enumeration.free_tree_count_by_prufer(5)\n"
+            "    except ValueError as error:\n"
+            "        if 'Cayley' not in str(error):\n"
+            "            raise\n"
+            "    else:\n"
+            "        raise SystemExit('accepted a wrong number of decodes: ' + mutant)\n"
         )
         proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                               env=dict(os.environ, PYTHONPATH=str(Path(treedex.__file__).parents[1])),
                               timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    def test_count_refuses_leaf_n_minus_1(self, monkeypatch):
+        # four entries on 5 vertices leave n - 1 the smallest leaf for the
+        # fourth step
+        feed = enumeration.combinations_with_replacement
+        monkeypatch.setattr(enumeration, "combinations_with_replacement",
+                            lambda pool, r: [*feed(pool, r), (0, 0, 0, 0)])
+        with pytest.raises(ValueError, match="leaf 4 cannot be removed"):
+            free_tree_count_by_prufer(5)
+
+    def test_every_coded_decode_is_a_labeled_tree(self, monkeypatch):
+        # each graph the count codes is, edge for edge, one of the
+        # reference decoder's n^(n-2) labeled trees
+        coded = set()
+        peel = enumeration._peel_code
+
+        def recording(adjacency):
+            coded.add(frozenset(frozenset((u, v)) for u, nbrs in enumerate(adjacency)
+                                for v in nbrs))
+            return peel(adjacency)
+
+        monkeypatch.setattr(enumeration, "_peel_code", recording)
+        for n in range(2, 8):
+            coded.clear()
+            free_tree_count_by_prufer(n)
+            decodes = {frozenset(map(frozenset, heap_prufer_edges(seq, n)))
+                       for seq in product(range(n), repeat=n - 2)}
+            assert coded and coded <= decodes
 
 
 class TestAddLeafOracle:
