@@ -13,7 +13,8 @@ Seven bound statements over four tree families (PT/ST/BT from n = 6):
 Each theorem is one table entry: its family, the equality degree
 sequence, the hand-written closed forms for both indices, and the
 claimed optimization direction per regime (None where no claim
-exists). theorem_bound evaluates an entry.
+exists). theorem_bound evaluates an entry; its value alone is
+_bound_value, which verify's loop calls once per cell.
 """
 
 from __future__ import annotations
@@ -218,23 +219,31 @@ def _equality_degseq(theorem: str, n: int, param: int | None) -> DegreeSequence:
     return DegreeSequence(th.degseq(n, param))
 
 
+def _bound_value(theorem: str, n: int, param: int | None, index: Index,
+                 seq: DegreeSequence) -> float:
+    """The theorem's closed form at (n, param) for the index, or, where
+    it has none, the index summed over seq, its equality sequence;
+    OverflowError when the value exceeds the float range."""
+    th = _THEOREMS[theorem]
+    closed_form = th.r0 if index.kind == "r0" else th.sei
+    if closed_form is None:
+        return index.of_degseq(seq)
+    try:
+        value = closed_form(n, param, index.x)
+    except OverflowError:  # float pow raises where a product gives inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"the {theorem} closed form at {index}")
+    return value
+
+
 def theorem_bound(theorem: str, n: int, param: int | None = None, *,
                   alpha: float | None = None, a: float | None = None) -> BoundValue:
     """A theorem's bound ("star" takes no family parameter)."""
     seq = _equality_degseq(theorem, n, param)
-    th = _THEOREMS[theorem]
     index = Index.of(alpha=alpha, a=a)
-    closed_form = th.r0 if index.kind == "r0" else th.sei
-    if closed_form is None:
-        value = index.of_degseq(seq)
-    else:
-        try:
-            value = closed_form(n, param, index.x)
-        except OverflowError:  # float pow raises where a product gives inf
-            value = math.inf
-        if not math.isfinite(value):
-            raise OverflowError(f"the {theorem} closed form at {index}")
-    return BoundValue(value, index.claim(th.directions), seq)
+    return BoundValue(_bound_value(theorem, n, param, index, seq),
+                      index.claim(_THEOREMS[theorem].directions), seq)
 
 
 def construct_extremal(theorem: str, n: int, param: int | None = None) -> Tree:

@@ -265,13 +265,12 @@ def _cmd_verify(args) -> int:
     if written:
         timing += f", output in {time.perf_counter() - started:.1f}s"
     if not args.json:
-        for r in reports:
-            param = "-" if r.param is None else r.param
-            print(
-                f"{r.verdict} {r.theorem} n={r.n} param={param} "
+        for i in range(0, len(reports), 1024):  # in blocks, so stdout is never held whole
+            sys.stdout.write("".join([
+                f"{r.verdict} {r.theorem} n={r.n} param={'-' if r.param is None else r.param} "
                 f"{KEYWORDS[r.index_kind]}={r.index_param!r} {r.direction} "
-                f"bound={r.bound!r} oracle={r.oracle!r}"
-            )
+                f"bound={r.bound!r} oracle={r.oracle!r}\n"
+                for r in reports[i:i + 1024]]))
         confirmed = sum(1 for r in reports if r.verdict == CONFIRMED)
         print(f"cells: {len(reports)}  confirmed: {confirmed}  refuted: {len(reports) - confirmed}")
     print(timing, file=sys.stderr)

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, product
+from math import comb
 
 from .bounds import FAMILY_PARAM, FamilyConstraint, family_param
 from .trees import DegreeSequence, Tree, _adjacency, _edge_text, _peel_code
@@ -330,8 +331,10 @@ def free_tree_count_by_prufer(n: int) -> int:
     way up. Only the first decode of each rooted shape is coded, from
     the adjacency lists of its edges (each vertex to its parent on the
     path) by the peel behind canonical_code: A000081(n) peels in all.
-    No Tree is built. It raises ValueError on a leaf n - 1, and unless
-    it made exactly n^(n-2) decodes (Cayley).
+    No Tree is built. It raises ValueError on a fed multiset that is not
+    n - 2 sorted entries in range(n) above the one before, and unless it
+    was fed C(2n-3, n-2) multisets and made exactly n^(n-2) decodes
+    (Cayley).
     """
     if n < 2:
         raise ValueError("labeled trees require n >= 2")
@@ -347,9 +350,7 @@ def free_tree_count_by_prufer(n: int) -> int:
         # Remove the next leaf, then give it each possible next entry as
         # its parent, with `left` entries of the multiset still to come.
         nonlocal decodes
-        leaf = deg.index(1)
-        if leaf == last:
-            raise ValueError(f"not a tree: leaf {leaf} cannot be removed")
+        leaf = deg.index(1)  # never n - 1: two or more leaves remain at each step
         kids = key[leaf]
         weight = weights.get(kids)
         if weight is None:
@@ -372,14 +373,24 @@ def free_tree_count_by_prufer(n: int) -> int:
                 deg[parent] += 1
         deg[leaf] = 1
 
+    previous = None
+    fed = 0
     for multiset in combinations_with_replacement(range(n), n - 2):
+        if (len(multiset) != n - 2 or list(multiset) != sorted(multiset)
+                or multiset and not 0 <= multiset[0] <= multiset[-1] < n
+                or previous is not None and multiset <= previous):
+            raise ValueError(f"fed multiset {multiset} after {previous}: each must be "
+                             f"{n - 2} sorted entries in range({n}), above the one before")
+        previous = multiset
+        fed += 1
         deg = [1] * n
         for x in multiset:
             deg[x] += 1
         key = [0] * n  # each vertex's child multiset
         entries = sorted(set(multiset))
         place(len(multiset))
-    if decodes != n ** (n - 2):
+    if decodes != n ** (n - 2) or fed != comb(2 * n - 3, n - 2):
         raise ValueError(f"{decodes} decodes, not the n^(n-2) = {n ** (n - 2)} "
-                         f"labeled trees on {n} vertices (Cayley)")
+                         f"labeled trees on {n} vertices (Cayley), of {fed} multisets, "
+                         f"not the C(2n-3, n-2) = {comb(2 * n - 3, n - 2)} of n - 2 entries")
     return len(set(codes.values()))

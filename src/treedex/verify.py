@@ -11,7 +11,10 @@ Both indices depend only on the degree sequence, and a family is a
 group of its order's one table (enumeration._families), so a verdict is
 read off one index value per degree sequence: each (n, index) keeps a
 memo that a sequence enters the first time a scanned family contains
-it. No tree is built for a verdict. A cell's witnesses, every tree of
+it. check_theorem is one loop over (n, family parameter): each pair's
+equality sequence is fetched once, and each claimed grid value then
+costs a bound value, a scan of the family and a report, a named tuple.
+No tree is built for a verdict. A cell's witnesses, every tree of
 every optimal sequence, are made only when the cell is written out
 (--report, --csv, --json): enumeration._census gives each winning
 class's edge texts, already in witness order, from one walk per order.
@@ -29,20 +32,22 @@ JSON and CSV documents (no timestamps or wall-clock data inside).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, repeat
+from typing import NamedTuple
 
 from .bounds import (
     THEOREM_DIRECTIONS,
     THEOREM_FAMILY,
     THEOREM_NAMES,
     FamilyConstraint,
+    _bound_value,
+    _equality_degseq,
     balanced_counts,
     balanced_counts_formula,
     family_params,
-    theorem_bound,
 )
+from .bounds import theorem_bound  # noqa: F401  (looked up here by perfbench/tracer.py)
 from .enumeration import _census, _families, free_trees
 from .indices import ABS_TOL, REL_TOL, WINDOW_LOW_A, Index, values_close
 from .trees import DegreeSequence, canonical_code
@@ -94,12 +99,13 @@ def _values(n: int, index: Index) -> dict[DegreeSequence, float]:
 def _scan(kind: str | None, n: int, param: int | None, direction: str, index: Index):
     family = _families(n)[kind, param]  # a group is never empty
     memo = _values(n, index)
-    values = []
-    for ds in family:
-        value = memo.get(ds)
-        if value is None:  # first scan of this sequence at this index
-            value = memo[ds] = index.of_degseq(ds)
-        values.append(value)
+    try:
+        values = list(map(memo.__getitem__, family))
+    except KeyError:  # the first scan of some of this family's sequences at this index
+        for ds in family:
+            if ds not in memo:
+                memo[ds] = index.of_degseq(ds)
+        values = list(map(memo.__getitem__, family))
     best = min(values) if direction == "min" else max(values)
     winners = tuple(compress(family, map(values_close, values, repeat(best))))
     return best, winners
@@ -114,8 +120,7 @@ def oracle_extremum(c: FamilyConstraint, direction: str, *,
     return _scan(c.kind, c.n, c.param, direction, Index.of(alpha=alpha, a=a))
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Per-cell verdict comparing a closed-form bound to the oracle."""
 
     theorem: str
@@ -158,27 +163,6 @@ class TheoremReport:
         return {**self.scalar_fields(), "witnesses": list(self.witness_edge_texts)}
 
 
-def _check_cell(theorem: str, n: int, param: int | None, index: Index) -> TheoremReport:
-    bound = theorem_bound(theorem, n, param, **index.keyword)
-    best, winners = _scan(THEOREM_FAMILY[theorem], n, param, bound.direction, index)
-    bound_matches = values_close(bound.value, best)
-    equality_set_matches = winners == (bound.equality_degseq,)
-    return TheoremReport(
-        theorem=theorem,
-        n=n,
-        param=param,
-        index_kind=index.kind,
-        index_param=index.x,
-        direction=bound.direction,
-        bound=bound.value,
-        oracle=best,
-        bound_matches=bound_matches,
-        equality_set_matches=equality_set_matches,
-        verdict=CONFIRMED if bound_matches and equality_set_matches else REFUTED,
-        optimal_degseqs=winners,
-    )
-
-
 def _grid(alpha_grid, a_grid) -> list[Index]:
     return [Index.of(alpha=x) for x in alpha_grid] + [Index.of(a=x) for x in a_grid]
 
@@ -188,19 +172,38 @@ def check_theorem(theorem: str, n_range, alpha_grid=DEFAULT_ALPHA_GRID,
     """One report per (n, param, claimed index), ordered by (n, param,
     index, value): a cell for each param in family_params of its family
     (all trees from n = 4, PT/ST/BT from n = 6) and each grid value
-    whose regime the theorem claims, so no other bound is evaluated."""
+    whose regime the theorem claims, so no other bound is evaluated.
+
+    Each (n, param) fetches its equality sequence once; each of its
+    cells then evaluates the bound's value (what theorem_bound gives,
+    without building a BoundValue), scans the family and appends its
+    report. A theorem that claims no grid value evaluates nothing.
+    """
     if theorem not in THEOREM_NAMES:
         raise ValueError(f"unknown theorem {theorem!r}")
-    grid = [index for index in _grid(alpha_grid, a_grid)
-            if index.claim(THEOREM_DIRECTIONS[theorem]) is not None]
-    return [_check_cell(theorem, n, param, index)
-            for n in n_range
-            for param in family_params(THEOREM_FAMILY[theorem], n)
-            for index in grid]
+    kind = THEOREM_FAMILY[theorem]
+    claims = [(index, direction) for index in _grid(alpha_grid, a_grid)
+              if (direction := index.claim(THEOREM_DIRECTIONS[theorem])) is not None]
+    reports = []
+    if not claims:  # no cell, so no bound or sequence to evaluate
+        return reports
+    for n in n_range:
+        for param in family_params(kind, n):
+            seq = _equality_degseq(theorem, n, param)
+            for index, direction in claims:
+                bound = _bound_value(theorem, n, param, index, seq)
+                best, winners = _scan(kind, n, param, direction, index)
+                bound_matches = values_close(bound, best)
+                equality_set_matches = winners == (seq,)
+                reports.append(TheoremReport(
+                    theorem, n, param, index.kind, index.x, direction, bound, best,
+                    bound_matches, equality_set_matches,
+                    CONFIRMED if bound_matches and equality_set_matches else REFUTED,
+                    winners))
+    return reports
 
 
-@dataclass(frozen=True)
-class MonotonicityRow:
+class MonotonicityRow(NamedTuple):
     """Sign conformance of one move under one index parameter."""
 
     kind: str

@@ -11,7 +11,8 @@ import pytest
 from conftest import path_tree, spider, star_tree
 
 import treedex
-from treedex import parse_tree, values_close
+import treedex.cli as cli
+from treedex import check_theorem, parse_tree, values_close
 from treedex.cli import main
 
 
@@ -441,6 +442,22 @@ class TestVerifyCommand:
                              "--alpha-grid", "380")
         assert code == 2 and out == ""
         assert "index value overflows a float" in err and "(34," not in err
+
+    def test_a_failing_run_writes_nothing(self, capsys, monkeypatch):
+        # pt-spider's 24 cells are checked before star's closed form
+        # overflows, and none of their verdict lines is written
+        checked = []
+
+        def recording(theorem, *args, **kwargs):
+            checked.append(theorem)
+            return check_theorem(theorem, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_theorem", recording)
+        code, out, err = run(capsys, "verify", "--theorems", "pt-spider,star", "--n", "8..8",
+                             "--alpha-grid", "380")
+        assert checked == ["pt-spider", "star"]
+        assert code == 2 and out == ""
+        assert "index value overflows a float: the star closed form at alpha=380.0" in err
 
     @pytest.mark.parametrize("theorems, cells", (("pt-spider", 4), ("pt-spider,pt-balanced", 8)))
     def test_unclaimed_overflow_makes_no_cell(self, capsys, theorems, cells):

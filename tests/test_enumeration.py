@@ -252,13 +252,21 @@ def heap_prufer_edges(seq, n):
     return tuple(edges)
 
 
-# Multiset feeds that leave out, repeat or add to the multisets the count
-# decodes at n = 5, each a lambda over `feed`, the real
-# combinations_with_replacement; each changes the number of decodes.
+# Multiset feeds that leave out, repeat, swap or add to the multisets the
+# count decodes at n = 5, each a lambda over `feed`, the real
+# combinations_with_replacement, with the error it must raise: a feed
+# that is not increasing or holds a foreign multiset is refused as it is
+# fed, one that leaves a multiset out by the Cayley count.
+CAYLEY = r"decodes, not the n\^\(n-2\) = 125 .*Cayley"
+NOT_FED_IN_ORDER = r"each must be 3 sorted entries in range\(5\), above the one before"
 MULTISET_MUTANTS = {
-    "one dropped": "lambda pool, r: [m for m in feed(pool, r) if m != (1, 2, 3)]",
-    "one repeated": "lambda pool, r: [*feed(pool, r), (1, 2, 3)]",
-    "a foreign one": "lambda pool, r: [*feed(pool, r), (0, 1)]",
+    "one dropped": ("lambda pool, r: [m for m in feed(pool, r) if m != (1, 2, 3)]", CAYLEY),
+    "one repeated": ("lambda pool, r: [*feed(pool, r), (1, 2, 3)]", NOT_FED_IN_ORDER),
+    "a foreign one": ("lambda pool, r: [*feed(pool, r), (0, 1)]", NOT_FED_IN_ORDER),
+    # as many arrangements (6) dropped as repeated, so n^(n-2) decodes
+    "one swapped for a repeat": (
+        "lambda pool, r: [(0, 1, 3) if m == (0, 1, 2) else m for m in feed(pool, r)]",
+        NOT_FED_IN_ORDER),
 }
 
 
@@ -351,29 +359,30 @@ class TestPruferOracle:
             assert free_tree_count_by_prufer(n) == FREE_TREE_COUNTS[n]
             assert calls == [n] * expected
 
-    @pytest.mark.parametrize("mutant", MULTISET_MUTANTS.values(), ids=MULTISET_MUTANTS)
-    def test_count_checks_every_decode(self, monkeypatch, mutant):
+    @pytest.mark.parametrize("mutant, message", MULTISET_MUTANTS.values(), ids=MULTISET_MUTANTS)
+    def test_count_checks_every_decode(self, monkeypatch, mutant, message):
         # the peel is stubbed out, so it cannot be what raises
         feed = eval(mutant, {"feed": enumeration.combinations_with_replacement})
         monkeypatch.setattr(enumeration, "combinations_with_replacement", feed)
         monkeypatch.setattr(enumeration, "_peel_code", lambda adjacency: b"")
-        with pytest.raises(ValueError, match=r"decodes, not the n\^\(n-2\) = 125 .*Cayley"):
+        with pytest.raises(ValueError, match=message):
             free_tree_count_by_prufer(5)
 
     def test_count_checks_every_decode_under_optimisation(self):
         script = (
+            "import re\n"
             "import treedex.enumeration as enumeration\n"
             "feed = enumeration.combinations_with_replacement\n"
             "enumeration._peel_code = lambda adjacency: b''\n"
-            f"for mutant in {list(MULTISET_MUTANTS.values())!r}:\n"
+            f"for mutant, message in {list(MULTISET_MUTANTS.values())!r}:\n"
             "    enumeration.combinations_with_replacement = eval(mutant)\n"
             "    try:\n"
             "        enumeration.free_tree_count_by_prufer(5)\n"
             "    except ValueError as error:\n"
-            "        if 'Cayley' not in str(error):\n"
+            "        if not re.search(message, str(error)):\n"
             "            raise\n"
             "    else:\n"
-            "        raise SystemExit('accepted a wrong number of decodes: ' + mutant)\n"
+            "        raise SystemExit('accepted a wrong feed: ' + mutant)\n"
         )
         proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                               env=dict(os.environ, PYTHONPATH=str(Path(treedex.__file__).parents[1])),
@@ -381,12 +390,13 @@ class TestPruferOracle:
         assert proc.returncode == 0, proc.stderr
 
     def test_count_refuses_leaf_n_minus_1(self, monkeypatch):
-        # four entries on 5 vertices leave n - 1 the smallest leaf for the
-        # fourth step
+        # four entries on 5 vertices would leave n - 1 the smallest leaf for
+        # the fourth step; a fed multiset of n - 2 entries never does, so
+        # the feed check refuses it before it is decoded
         feed = enumeration.combinations_with_replacement
         monkeypatch.setattr(enumeration, "combinations_with_replacement",
                             lambda pool, r: [*feed(pool, r), (0, 0, 0, 0)])
-        with pytest.raises(ValueError, match="leaf 4 cannot be removed"):
+        with pytest.raises(ValueError, match=r"fed multiset \(0, 0, 0, 0\) after \(4, 4, 4\)"):
             free_tree_count_by_prufer(5)
 
     def test_every_coded_decode_is_a_labeled_tree(self, monkeypatch):

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import random
 import sys
 import tracemalloc
 from collections import Counter
@@ -237,8 +238,8 @@ class TestPartitionEngine:
         assert set(calls.values()) == {1}
 
     def test_bounds_reuse_the_held_index(self):
-        # verify checks a theorem_bound per cell; after the first cell at a
-        # grid value, every later call gets the held Index back
+        # once verify has checked a grid value, theorem_bound and every
+        # later check of it get the held Index back
         check_theorem("star", range(6, 8))
         misses = Index._of.cache_info().misses
         for index in verify._grid(DEFAULT_ALPHA_GRID, DEFAULT_A_GRID):
@@ -247,8 +248,8 @@ class TestPartitionEngine:
         assert Index._of.cache_info().misses == misses
 
     def test_one_index_per_grid_value(self):
-        # _grid writes Index.of(alpha=x), theorem_bound Index.of(alpha=x, a=None):
-        # both get the one Index held for (kind, x)
+        # each check_theorem call writes Index.of(alpha=x) for its grid:
+        # every call gets the one Index held for (kind, x)
         Index._of.cache_clear()
         check_theorem("pt-spider", range(6, 15))
         assert Index._of.cache_info().misses == len(DEFAULT_ALPHA_GRID) + len(DEFAULT_A_GRID) == 12
@@ -285,7 +286,7 @@ class TestPartitionEngine:
         expected = tuple(text for ds in probe.optimal_degseqs
                          for text in reference[ds])
         assert expected and probe.witness_edge_texts == expected
-        assert "witness_edge_texts" not in vars(probe)  # read from the class cache, not kept
+        assert not hasattr(probe, "__dict__")  # read from the class cache, never kept
 
 
 class TestWitnessCache:
@@ -503,26 +504,57 @@ class TestCheckTheorem:
         # the claim table decides which cells exist before anything is
         # evaluated, so each bound evaluated is a cell's
         calls = []
+        bound_value = verify._bound_value
 
-        def counting(theorem, n, param=None, **index):
-            calls.append((theorem, n, param, *index.items()))
-            return theorem_bound(theorem, n, param, **index)
+        def counting(theorem, n, param, index, seq):
+            calls.append((theorem, n, param, index.kind, index.x))
+            return bound_value(theorem, n, param, index, seq)
 
-        monkeypatch.setattr(verify, "theorem_bound", counting)
+        monkeypatch.setattr(verify, "_bound_value", counting)
         for theorem in THEOREM_NAMES:
             calls.clear()
             reports = check_theorem(theorem, range(6, 11))
-            assert calls == [(theorem, r.n, r.param, (KEYWORDS[r.index_kind], r.index_param))
+            assert calls == [(theorem, r.n, r.param, r.index_kind, r.index_param)
                              for r in reports], theorem
 
     def test_no_claimed_grid_value_evaluates_nothing(self, monkeypatch):
         def no_bound(*args, **kwargs):
             raise AssertionError("a bound was evaluated for a cell that does not exist")
 
-        monkeypatch.setattr(verify, "theorem_bound", no_bound)
+        monkeypatch.setattr(verify, "_bound_value", no_bound)
+        monkeypatch.setattr(verify, "_equality_degseq", no_bound)
         # st-star claims nothing in the SEI window; PT(n, .) is empty below n = 6
         assert check_theorem("st-star", range(6, 9), alpha_grid=(), a_grid=(0.6,)) == []
         assert check_theorem("pt-spider", range(2, 5)) == []
+
+    @pytest.mark.parametrize("grid", ("default", "seeded"))
+    def test_loop_matches_the_per_cell_path(self, grid):
+        # each cell of the (n, param) loop is what theorem_bound and
+        # oracle_extremum give for it alone
+        if grid == "default":
+            alpha_grid, a_grid = DEFAULT_ALPHA_GRID, DEFAULT_A_GRID
+        else:  # off the default grid, one value or two from every regime
+            rng = random.Random(30)
+            alpha_grid = tuple(round(rng.uniform(lo, hi), 4)
+                               for lo, hi in ((-3, -0.05), (0.05, 0.95), (1.05, 4), (1.05, 4)))
+            a_grid = tuple(round(rng.uniform(lo, hi), 4)
+                           for lo, hi in ((0.05, 0.37), (0.47, 0.95), (0.47, 0.95), (1.05, 3)))
+        for theorem in THEOREM_NAMES:
+            reports = check_theorem(theorem, range(6, 13), alpha_grid, a_grid)
+            assert reports, theorem
+            for r in reports:
+                keyword = {KEYWORDS[r.index_kind]: r.index_param}
+                bound = theorem_bound(theorem, r.n, r.param, **keyword)
+                assert (r.bound, r.direction) == (bound.value, bound.direction), r
+                family = FamilyConstraint(THEOREM_FAMILY[theorem], r.n, r.param)
+                assert (r.oracle, r.optimal_degseqs) == oracle_extremum(
+                    family, bound.direction, **keyword), r
+                bound_matches = values_close(bound.value, r.oracle)
+                equality_set_matches = r.optimal_degseqs == (bound.equality_degseq,)
+                assert (r.bound_matches, r.equality_set_matches) == (
+                    bound_matches, equality_set_matches), r
+                assert r.verdict == (CONFIRMED if bound_matches and equality_set_matches
+                                     else REFUTED), r
 
 
 class TestMonotonicity:
@@ -652,8 +684,9 @@ class TestWriters:
 
         json_call, csv_call = counted(reports_to_json), counted(reports_to_csv)
         (document, *_), (table, *_) = json_call, csv_call
-        # neither writer builds a cell's own witness tuple
-        assert not any("witness_edge_texts" in vars(r) for r in reports)
+        # neither writer builds a cell's own witness tuple: a report has
+        # no per-instance __dict__ to keep one in
+        assert not any(hasattr(r, "__dict__") for r in reports)
         # each class is built once, for both formats: a winning class is
         # built with its whole order, in one walk per order
         orders = [n for n, _ in census.calls]
