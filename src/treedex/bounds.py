@@ -11,9 +11,9 @@ Seven bound statements over four tree families (PT/ST/BT from n = 6):
     star         all n-vertex trees (n >= 4): the star
 
 Each theorem is one table entry: its family, the equality degree
-sequence, the hand-written closed forms for both indices, and the
-claimed optimization direction per regime (None where no claim
-exists). theorem_bound evaluates an entry; its value alone is
+sequence, the hand-written closed forms for both indices, the claimed
+direction per regime (None where no claim exists) and the moves its
+proof applies. theorem_bound evaluates an entry; its value alone is
 _bound_value, which verify's loop calls once per cell.
 """
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 from .indices import Index, values_close
@@ -159,6 +158,7 @@ class _Theorem:
     r0: Callable[[int, int | None, float], float] | None
     sei: Callable[[int, int | None, float], float] | None
     directions: tuple[str | None, ...]  # per regime, in REGIMES order
+    moves: tuple[str, ...] = ()  # the transforms its proof applies; none for st-star and star
 
 
 _THEOREMS = {
@@ -167,15 +167,16 @@ _THEOREMS = {
         lambda n, n1: (n1,) + (2,) * (n - n1 - 1) + (1,) * n1,
         lambda n, n1, al: 2.0**al * n + float(n1) ** al - (2.0**al - 1.0) * n1 - 2.0**al,
         lambda n, n1, a: 2.0 * a * a * n + (a**n1 - 2.0 * a * a + a) * n1 - 2.0 * a * a,
-        ("max", "min", None, "min", "min"),
+        ("max", "min", None, "min", "min"), ("p1",),
     ),
-    "pt-balanced": _Theorem("pt", _balanced_degseq, None, None, ("min", "max", None, "max", "max")),
+    "pt-balanced": _Theorem("pt", _balanced_degseq, None, None,
+                            ("min", "max", None, "max", "max"), ("p2",)),
     "bt-small": _Theorem(
         "bt",
         lambda n, b: (3,) * b + (2,) * (n - 2 * b - 2) + (1,) * (b + 2),
         lambda n, b, al: 2.0**al * n + (3.0**al - 2.0 ** (al + 1) + 1.0) * b - 2.0 ** (al + 1) + 2.0,
         lambda n, b, a: 2.0 * a * a * n + (3.0 * a**3 - 4.0 * a * a + a) * b - 2.0 * a * (2.0 * a - 1.0),
-        ("min", "max", "min", "max", "max"),
+        ("min", "max", "min", "max", "max"), ("b1",),
     ),
     # (n-2b+1, 3^(b-1), 1^(n-b)): no degree-2 vertex, at most one above 3
     "bt-big": _Theorem(
@@ -183,7 +184,7 @@ _THEOREMS = {
         lambda n, b: (n - 2 * b + 1,) + (3,) * (b - 1) + (1,) * (n - b),
         lambda n, b, al: float(n - 2 * b + 1) ** al + n + (3.0**al - 1.0) * b - 3.0**al,
         lambda n, b, a: (n - 2 * b + 1) * a ** (n - 2 * b + 1) + n * a + (3.0 * a**3 - a) * b - 3.0 * a**3,
-        ("max", "min", "max", "min", "min"),
+        ("max", "min", "max", "min", "min"), ("b3", "b4"),
     ),
     # (k, 2^(n-k-1), 1^k): the squeeze is a star
     "st-star": _Theorem(
@@ -194,7 +195,7 @@ _THEOREMS = {
         ("max", "min", "max", None, None),
     ),
     "st-parity": _Theorem("st", _st_parity_degseq, _st_parity_r0, _st_parity_sei,
-                          ("min", "max", "min", "max", None)),
+                          ("min", "max", "min", "max", None), ("s1a", "s1aa")),
     "star": _Theorem(
         None,
         lambda n, _: (n - 1,) + (1,) * (n - 1),
@@ -207,9 +208,9 @@ _THEOREMS = {
 THEOREM_NAMES = tuple(_THEOREMS)
 THEOREM_FAMILY = {name: th.family for name, th in _THEOREMS.items()}
 THEOREM_DIRECTIONS = {name: th.directions for name, th in _THEOREMS.items()}
+MOVE_THEOREM = {move: name for name, th in _THEOREMS.items() for move in th.moves}  # move -> theorem
 
 
-@lru_cache(maxsize=None, typed=True)
 def _equality_degseq(theorem: str, n: int, param: int | None) -> DegreeSequence:
     """The theorem's equality sequence, once n and param are checked."""
     if theorem not in _THEOREMS:

@@ -21,7 +21,7 @@ from .trees import Tree
 # root of 8a^2 - a - 1, from 8a^3 - 9a^2 + 1 = (a - 1)(8a^2 - a - 1).
 WINDOW_LOW_A = (1.0 + math.sqrt(33.0)) / 16.0
 
-# Column order of every per-regime claim table (bound directions, move signs):
+# Column order of the per-regime claim rows (the theorems' bound directions):
 #   convex     alpha < 0 or alpha > 1
 #   concave    0 < alpha < 1
 #   above_one  a > 1

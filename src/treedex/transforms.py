@@ -17,6 +17,12 @@ Seven moves, each preserving one family parameter:
     s1aa  on the caterpillar realization, move one pendant from each of
           two degree-4 vertices to a longest-path endpoint (keeps k)
 
+Each move serves the proof of one theorem of bounds (MOVE_THEOREM): p1
+pt-spider, p2 pt-balanced, b1 bt-small, b3 and b4 bt-big, s1a and s1aa
+st-parity. claimed_sign is -1 (the move raises the index) where that
+theorem claims a max, +1 where it claims a min, and otherwise None,
+except s1a's -1 in the low regime, where st-parity claims nothing.
+
 Target selection is deterministic: vertices are ranked by (degree
 descending, id ascending) and the first qualifying choice wins; longest
 paths break ties toward smaller endpoint ids. The s-moves normalize the
@@ -29,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .bounds import MOVE_THEOREM, THEOREM_DIRECTIONS
 from .indices import Index
 from .trees import DegreeSequence, Tree, realize_caterpillar
 
@@ -243,23 +250,14 @@ def predicted_delta(move: MoveRecord, *, alpha: float | None = None, a: float | 
     )
 
 
-# Claimed sign of index(before) - index(after), per regime in REGIMES order:
-# (convex, concave, above_one, window, low).
-_SIGNS = {
-    "p1": (-1, +1, None, +1, +1),
-    "p2": (+1, -1, None, -1, -1),
-    "b1": (+1, -1, +1, -1, -1),
-    "b3": (-1, +1, -1, +1, +1),
-    "b4": (-1, +1, -1, +1, +1),
-    "s1a": (+1, -1, +1, -1, -1),
-    "s1aa": (+1, -1, +1, -1, None),
-}
-
-
 def claimed_sign(kind: str, *, alpha: float | None = None, a: float | None = None) -> int | None:
-    """Lemma-claimed sign of index(before) - index(after) in this regime,
-    or None where no sign is claimed."""
+    """Lemma-claimed sign of index(before) - index(after) in this regime:
+    -1 where the theorem the move proves (bounds.MOVE_THEOREM) claims a
+    max, +1 where it claims a min, None where it claims nothing, and -1
+    for s1a in the low regime, where st-parity claims nothing."""
     index = Index.of(alpha=alpha, a=a)
     if kind not in TRANSFORMS:
         raise ValueError(f"unknown transform {kind!r}")
-    return index.claim(_SIGNS[kind])
+    if kind == "s1a" and index.regime == "low":
+        return -1
+    return {"max": -1, "min": +1}.get(index.claim(THEOREM_DIRECTIONS[MOVE_THEOREM[kind]]))

@@ -2,7 +2,7 @@ import random
 from collections import deque
 
 import pytest
-from conftest import double_broom, path_tree, prufer_trees, spider, star_tree, trees_up_to
+from conftest import all_free_trees, double_broom, path_tree, prufer_trees, spider, star_tree, trees_up_to
 from hypothesis import given
 
 from treedex import (
@@ -17,7 +17,8 @@ from treedex import (
     structural_profile,
     values_close,
 )
-from treedex import transforms
+from treedex import bounds, transforms
+from treedex.bounds import THEOREM_FAMILY, family_param, family_params
 from treedex.enumeration import _prufer_edges
 from treedex.transforms import (
     _ranked,
@@ -380,6 +381,74 @@ class TestRanking:
             assert [_move_outcome(move, t) for move in TRANSFORMS.values()] == records, t.edges
 
 
+# Every move's claimed sign written out per regime, (convex, concave,
+# above_one, window, low), as a literal reference; one grid value per regime.
+SIGN_TABLE = {
+    "p1": (-1, +1, None, +1, +1),
+    "p2": (+1, -1, None, -1, -1),
+    "b1": (+1, -1, +1, -1, -1),
+    "b3": (-1, +1, -1, +1, +1),
+    "b4": (-1, +1, -1, +1, +1),
+    "s1a": (+1, -1, +1, -1, -1),
+    "s1aa": (+1, -1, +1, -1, None),
+}
+REGIME_VALUES = ({"alpha": 2.0}, {"alpha": 0.5}, {"a": 2.0}, {"a": 0.6}, {"a": 0.3})
+
+
+def proofs():
+    """Each theorem that names moves, with the moves its proof applies."""
+    return {name: th.moves for name, th in bounds._THEOREMS.items() if th.moves}
+
+
+def terminal_mismatches(n_range, theorem_moves=None) -> list[tuple]:
+    """(theorem, n, param, edges) for every tree of a proved family
+    (n, param) on which none of the theorem's moves applies but whose
+    degree sequence is not the equality sequence, or the reverse.
+    theorem_moves defaults to the theorems' own proofs."""
+    mismatches = []
+    for n in n_range:
+        trees = [(t, t.degree_sequence()) for t in all_free_trees(n)]
+        for theorem, moves in (theorem_moves or proofs()).items():
+            kind = THEOREM_FAMILY[theorem]
+            equality = {param: bounds._equality_degseq(theorem, n, param)
+                        for param in family_params(kind, n)}
+            for t, seq in trees:
+                param = family_param(kind, seq)
+                if param in equality and _terminal(t, moves) != (seq == equality[param]):
+                    mismatches.append((theorem, n, param, t.edges))
+    return mismatches
+
+
+def _terminal(t: Tree, moves) -> bool:
+    """Whether none of the moves applies to t."""
+    for kind in moves:
+        try:
+            TRANSFORMS[kind](t)
+        except ValueError:
+            continue
+        return False
+    return True
+
+
+class TestProofs:
+    def test_every_move_proves_one_theorem(self):
+        named = [kind for moves in proofs().values() for kind in moves]
+        assert sorted(named) == sorted(TRANSFORMS)
+        assert set(proofs()) == {"pt-spider", "pt-balanced", "bt-small", "bt-big", "st-parity"}
+
+    def test_terminal_trees_are_the_equality_trees(self):
+        # the moves keep the family (test_family_parameter_preserved), so
+        # a proof holds when the trees no move leaves are the extremal ones
+        assert terminal_mismatches(range(6, 14)) == []
+
+    @pytest.mark.parametrize("theorem_moves", (
+        {"bt-big": ("b3",)},
+        {"pt-spider": ("p2",), "pt-balanced": ("p1",)},
+    ), ids=("b4-dropped", "p1-p2-swapped"))
+    def test_a_wrong_proof_leaves_other_trees(self, theorem_moves):
+        assert terminal_mismatches(range(6, 10), theorem_moves)
+
+
 class TestClaimedSigns:
     def test_table(self):
         assert claimed_sign("p1", alpha=2) == -1
@@ -392,6 +461,10 @@ class TestClaimedSigns:
         assert claimed_sign("s1a", alpha=3) == +1
         assert claimed_sign("s1aa", a=0.6) == -1
         assert claimed_sign("s1aa", a=0.3) is None
+        # all 35 (move, regime) pairs, (s1a, low) among them
+        for kind, row in SIGN_TABLE.items():
+            for keyword, sign in zip(REGIME_VALUES, row):
+                assert claimed_sign(kind, **keyword) == sign, (kind, keyword)
 
     def test_unknown_transform(self):
         with pytest.raises(ValueError, match="unknown transform 'zz'"):
