@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import random
 import sys
 import tracemalloc
@@ -11,10 +12,11 @@ from types import SimpleNamespace
 
 import pytest
 from conftest import all_free_trees
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_census import census_errors
 from reference_levels import level_parents, tree_from_levels
+from reference_winners import full_filter, seeded_grid, winner_mismatches
 
 import treedex.enumeration as enumeration
 import treedex.trees as trees_module
@@ -53,7 +55,7 @@ from treedex.enumeration import (
     _level_sequences,
     _rank_key,
 )
-from treedex.indices import KEYWORDS
+from treedex.indices import KEYWORDS, REL_TOL
 from treedex.trees import _adjacency, _edge_text, _peel_code
 from treedex.verify import (
     _WITNESSES,
@@ -221,10 +223,10 @@ class TestPartitionEngine:
         # sequence; the memo must serve every repeat
         calls = Counter()
         of_degseq = Index.of_degseq
-        scan_code = verify._scan.__code__
+        engine_code = verify._optima.__code__
 
         def counting(index, d):
-            if sys._getframe(1).f_code is scan_code:  # bounds evaluates sequences too
+            if sys._getframe(1).f_code is engine_code:  # bounds evaluates sequences too
                 calls[index.x, d] += 1
             return of_degseq(index, d)
 
@@ -236,6 +238,29 @@ class TestPartitionEngine:
                     for ds in _families(n)[None, None]}
         assert set(calls) == expected
         assert set(calls.values()) == {1}
+
+    def test_one_memo_lookup_per_claim_and_order(self, monkeypatch):
+        # each n fetches each claim's memo once, and on the default grid
+        # a cell compares values at most twice: its runner-up test and
+        # its bound (a tie or near-tie compares the whole column)
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(verify, "_values", counting("_values", _values))
+        monkeypatch.setattr(verify, "values_close", counting("values_close", values_close))
+        orders = range(6, 13)
+        claims = cells = 0
+        for theorem in THEOREM_NAMES:
+            reports = check_theorem(theorem, orders)
+            claims += len({(r.index_kind, r.index_param) for r in reports})
+            cells += len(reports)
+        assert counts["_values"] == len(orders) * claims
+        assert counts["values_close"] <= 2 * cells
 
     def test_bounds_reuse_the_held_index(self):
         # once verify has checked a grid value, theorem_bound and every
@@ -341,7 +366,32 @@ class TestWitnessCache:
             [text for ds in r.optimal_degseqs for text in reference[r.n][ds]] for r in reports]
 
 
+POSITIVE = st.floats(min_value=5e-324, max_value=1e300)
+
+
+@st.composite
+def near_columns(draw):
+    """Positive values around one base: exact ties, values one ulp
+    apart, values on both sides of the REL_TOL edge, and free values."""
+    base = draw(POSITIVE)
+    edges = (base, base * (1 - REL_TOL), base / (1 - REL_TOL), base * (1 + 2 * REL_TOL))
+    near = sorted({v for edge in edges for v in (math.nextafter(edge, 0), edge,
+                                                 math.nextafter(edge, math.inf))
+                   if 0 < v < math.inf})
+    return draw(st.lists(st.one_of(st.sampled_from(near), POSITIVE), min_size=1, max_size=12))
+
+
 class TestOracleExtremum:
+    @settings(max_examples=500)
+    @given(near_columns())
+    def test_runner_up_rule_is_the_full_filter(self, values):
+        # one family of stand-in sequences, its values held in the memo,
+        # decided for a min claim and a max claim in one call
+        family = tuple(range(len(values)))
+        memo = dict(zip(family, values))
+        optima = verify._optima(family, [(None, "min"), (None, "max")], [memo, memo])
+        assert optima == [full_filter(family, values, "min"), full_filter(family, values, "max")]
+
     def test_pt_min_spider_cell(self):
         value, winners = oracle_extremum(FamilyConstraint("pt", 8, 3), "min", alpha=2)
         assert value == 28
@@ -555,6 +605,16 @@ class TestCheckTheorem:
                     bound_matches, equality_set_matches), r
                 assert r.verdict == (CONFIRMED if bound_matches and equality_set_matches
                                      else REFUTED), r
+
+    @pytest.mark.parametrize("grid", ("default", "seeded"))
+    def test_winners_match_the_per_cell_reference(self, grid):
+        # every cell's oracle and winners are what reference_winners
+        # computes for that cell alone
+        if grid == "default":
+            alpha_grid, a_grid = DEFAULT_ALPHA_GRID, DEFAULT_A_GRID
+        else:
+            alpha_grid, a_grid = seeded_grid(random.Random(33), 8)
+        assert winner_mismatches(range(6, 13), alpha_grid, a_grid) == []
 
 
 class TestMonotonicity:
