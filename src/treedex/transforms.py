@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .bounds import MOVE_THEOREM, THEOREM_DIRECTIONS
 from .indices import Index
@@ -182,13 +181,11 @@ def _pendants(t: Tree, v: int) -> list[int]:
     return [x for x in t.adjacency[v] if deg[x] == 1]
 
 
-@lru_cache(maxsize=1)
 def _caterpillar(seq: DegreeSequence) -> tuple[Tree, int, int]:
     """The s-moves' set-up: the caterpillar realization of seq (spine
     vertex i has degree seq[i]) and the ends v0, endpoint of its
     longest path, pendants of spine vertices 0 and m - 1 (the first two
-    pendants of a star's centre). The last one is held, so s1a and s1aa
-    on the same tree share one realization; a Tree is immutable."""
+    pendants of a star's centre)."""
     cat = realize_caterpillar(seq)
     m = len(seq) - seq.n1
     v0, *rest = _pendants(cat, 0)

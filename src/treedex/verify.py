@@ -8,28 +8,28 @@ sequence. Cells that fail are reported as REFUTED with witnesses;
 refutations are data, not errors.
 
 Both indices depend only on the degree sequence, and a family is a
-group of its order's one table (enumeration._families), so a verdict is
-read off one index value per degree sequence: each (n, index) keeps a
-memo that a sequence enters the first time a scanned family contains
-it. One engine, _optima, decides a family for a list of claimed
-(index, direction) pairs at once: it reads each sequence's values for
-all claims as one row, takes each claim's column's best, and returns
-the best and its winners, the sequences within tolerance of it. Every
-value is positive, so when the runner-up of a sorted column is not
-within tolerance of the best, no later value is, and the best alone
-wins; only a tie or a near-tie compares the whole column.
-check_theorem is one loop over (n, family parameter) that calls the
-engine once per pair with every claimed grid value; oracle_extremum
-calls it with one claim. No tree is built for a verdict. A cell's
-witnesses, every tree of every optimal sequence, are made only when
-the cell is written out (--report, --csv, --json): enumeration._census
-gives each winning class's edge texts, already in witness order, from
-one walk per order. Each built class is held once, as a plain tuple of
-its edge texts; a class read before it was built is built with its
-whole order, in that order's one walk. A writer call encodes a class
-the first time it writes it, and its encodings go when it returns; the
-writers write one cell at a time to the file they are given, so a
-report is never held whole in memory.
+group of its order's one table (enumeration._families), so a verdict
+is read off one index value per degree sequence: each (n, index) keeps
+a memo that a sequence enters the first time a scanned family contains
+it. One scan, _scan, decides a cell for check_theorem and for
+oracle_extremum: it reads the family's values from the memo and
+returns the best and its winners, the sequences within tolerance of
+it. Every value is positive, so when the runner-up of the sorted
+values is not within tolerance of the best, no later value is, and the
+best alone wins; only a tie or a near-tie compares every value.
+check_theorem is one loop over (n, family parameter): each n fetches
+each claimed grid value's memo once, each pair its equality sequence
+and family once, and each claimed grid value then costs a bound value,
+a scan and a report, a named tuple. No tree is built for a verdict. A
+cell's witnesses, every tree of every optimal sequence, are made only
+when the cell is written out (--report, --csv, --json):
+enumeration._census gives each winning class's edge texts, already in
+witness order, from one walk per order. Each built class is held once,
+as a plain tuple of its edge texts; a class read before it was built
+is built with its whole order, in that order's one walk. A writer call
+encodes a class the first time it writes it, and its encodings go when
+it returns; the writers write one cell at a time to the file they are
+given, so a report is never held whole in memory.
 
 All outputs are deterministic: identical inputs produce byte-identical
 JSON and CSV documents (no timestamps or wall-clock data inside).
@@ -102,45 +102,30 @@ def _values(n: int, index: Index) -> dict[DegreeSequence, float]:
     return {}
 
 
-def _optima(family, claims, memos) -> list[tuple[float, tuple[DegreeSequence, ...]]]:
-    """Each claim's best value over a family of degree sequences and the
-    sequences within tolerance of it, as (best, winners) in claim order.
+def _scan(family, index: Index, direction: str, memo: dict[DegreeSequence, float]):
+    """The best value of index over a family of degree sequences and the
+    sequences values_close to it, as (best, winners).
 
-    claims holds (index, direction) pairs and memos each claim's
-    _values memo at the family's order. Each sequence's values for all
-    claims are read as one row; a sequence a memo does not hold yet is
-    evaluated at that claim's index, for this family only. A column's
-    winners are the family's sequences whose value is values_close to
-    its best. Every value is positive, so when the runner-up of the
-    sorted column is not close to the best, no later value is: it is at
-    least as far from the best as the runner-up, and the tolerance grows
-    by only REL_TOL of the extra distance. The sequence holding the best
-    value alone then wins; otherwise (a tie or a near-tie) the whole
-    column is filtered.
+    memo is _values(n, index) at the family's order; a sequence it does
+    not hold yet is evaluated, for this family only. Every value is
+    positive, so when the runner-up of the sorted values is not close to
+    the best, no later value is: it is at least as far from the best as
+    the runner-up, and the tolerance grows by only REL_TOL of the extra
+    distance. The sequence holding the best value then wins alone;
+    otherwise (a tie or a near-tie) every value is compared with the best.
     """
-    # Rows are lists: CPython keeps up to 2,000 freed tuples of each
-    # length under 20 for reuse, so rows of the default grid's 12 values
-    # held 0.3 MB more at the peak of `verify --n 6..17` as tuples.
     try:
-        rows = [list(map(dict.__getitem__, memos, repeat(ds))) for ds in family]
-    except KeyError:  # the first scan of some of this family's sequences at some claim
+        values = list(map(memo.__getitem__, family))
+    except KeyError:  # the first scan of some of this family's sequences at this index
         for ds in family:
-            for (index, _), memo in zip(claims, memos):
-                if ds not in memo:
-                    memo[ds] = index.of_degseq(ds)
-        rows = [list(map(dict.__getitem__, memos, repeat(ds))) for ds in family]
-    if len(family) == 1:  # its one sequence wins every claim
-        return [(value, family) for value in rows[0]]
-    optima = []
-    for (_, direction), column in zip(claims, zip(*rows)):
-        ranked = sorted(column)
-        best, runner_up = (ranked[0], ranked[1]) if direction == "min" else (ranked[-1], ranked[-2])
-        if values_close(runner_up, best):
-            winners = tuple(compress(family, map(values_close, column, repeat(best))))
-        else:
-            winners = (family[column.index(best)],)
-        optima.append((best, winners))
-    return optima
+            if ds not in memo:
+                memo[ds] = index.of_degseq(ds)
+        values = list(map(memo.__getitem__, family))
+    ranked = sorted(values, reverse=direction == "max")
+    best = ranked[0]
+    if len(ranked) > 1 and values_close(ranked[1], best):
+        return best, tuple(compress(family, map(values_close, values, repeat(best))))
+    return best, (family[values.index(best)],)
 
 
 def oracle_extremum(c: FamilyConstraint, direction: str, *,
@@ -151,7 +136,7 @@ def oracle_extremum(c: FamilyConstraint, direction: str, *,
         raise ValueError("direction must be 'min' or 'max'")
     index = Index.of(alpha=alpha, a=a)
     family = _families(c.n)[c.kind, c.param]  # a group is never empty
-    return _optima(family, [(index, direction)], [_values(c.n, index)])[0]
+    return _scan(family, index, direction, _values(c.n, index))
 
 
 class TheoremReport(NamedTuple):
@@ -208,15 +193,14 @@ def check_theorem(theorem: str, n_range, alpha_grid=DEFAULT_ALPHA_GRID,
     (all trees from n = 4, PT/ST/BT from n = 6) and each grid value
     whose regime the theorem claims, so no other bound is evaluated.
 
-    Each n fetches each claim's value memo once. Each (n, param) fetches
-    its equality sequence once, evaluates each claim's bound value (what
-    theorem_bound gives, without building a BoundValue) and decides the
-    family for all claims in one _optima call: a claim's winner is the
-    sequence holding its best value unless the runner-up is within
-    tolerance of it, when the whole column is filtered. A pair that
-    overflows is evaluated again one claim at a time, bound then family,
-    so the first failing cell raises its own OverflowError. A theorem
-    that claims no grid value evaluates nothing.
+    Each n fetches each claimed grid value's memo once, and each
+    (n, param) its equality sequence and family once. Each cell then
+    evaluates the bound's value (what theorem_bound gives, without
+    building a BoundValue), scans the family and appends its report:
+    the winner is the sequence holding the best value unless the
+    runner-up is within tolerance of it, when every value is compared
+    with the best. A theorem that claims no grid value evaluates
+    nothing.
     """
     if theorem not in THEOREM_NAMES:
         raise ValueError(f"unknown theorem {theorem!r}")
@@ -232,15 +216,9 @@ def check_theorem(theorem: str, n_range, alpha_grid=DEFAULT_ALPHA_GRID,
         for param in family_params(kind, n):
             seq = _equality_degseq(theorem, n, param)
             family = families[kind, param]  # a group is never empty
-            try:
-                bounds = [_bound_value(theorem, n, param, index, seq) for index, _ in claims]
-                optima = _optima(family, claims, memos)
-            except OverflowError:  # raise what the first failing cell alone raises
-                for claim, memo in zip(claims, memos):
-                    _bound_value(theorem, n, param, claim[0], seq)
-                    _optima(family, [claim], [memo])
-                raise
-            for (index, direction), bound, (best, winners) in zip(claims, bounds, optima):
+            for (index, direction), memo in zip(claims, memos):
+                bound = _bound_value(theorem, n, param, index, seq)
+                best, winners = _scan(family, index, direction, memo)
                 bound_matches = values_close(bound, best)
                 equality_set_matches = winners == (seq,)
                 reports.append(TheoremReport(

@@ -2,12 +2,9 @@
 
 perfbench/tracer.py replaces treedex functions from outside the package
 and lists every target it cannot find in `Recorder.missing` instead of
-failing. Eight targets went stale when the verdict engine moved, and
-`verify._scan` when one engine call came to decide all of a family's
-claimed grid values (its span reads 0 until the tracer wraps
-`verify._optima`); a source change that drops any other traced name
-fails here, while a tracer re-pointed at the current names only
-shrinks the list.
+failing. Eight targets went stale when the verdict engine moved; a
+source change that drops any other traced name fails here, while a
+tracer re-pointed at the current names only shrinks the list.
 """
 
 import json
@@ -29,7 +26,6 @@ STALE_TARGETS = {
     "treedex.verify.r0_general",
     "treedex.verify.sei",
     "treedex.verify.structural_profile",
-    "treedex.verify._scan",
 }
 
 

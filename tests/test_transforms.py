@@ -259,15 +259,6 @@ class TestS1AA:
         m = apply_s1aa(t)
         assert structural_profile(m.after).k == structural_profile(t).k
 
-    def test_shares_the_s1a_caterpillar(self):
-        # a degree-5 vertex between two of degree 4: s1a and s1aa both
-        # apply, and s1aa reuses the realization s1a made for the tree
-        t = Tree(12, ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
-                      (1, 6), (1, 7), (1, 8), (2, 9), (2, 10), (2, 11)))
-        first, second = apply_s1a(t), apply_s1aa(t)
-        assert first.before is second.before != t
-        assert first.before.degree_sequence() == t.degree_sequence()
-
 
 class TestMoveContracts:
     def test_delta_exactness(self):

@@ -223,10 +223,10 @@ class TestPartitionEngine:
         # sequence; the memo must serve every repeat
         calls = Counter()
         of_degseq = Index.of_degseq
-        engine_code = verify._optima.__code__
+        scan_code = verify._scan.__code__
 
         def counting(index, d):
-            if sys._getframe(1).f_code is engine_code:  # bounds evaluates sequences too
+            if sys._getframe(1).f_code is scan_code:  # bounds evaluates sequences too
                 calls[index.x, d] += 1
             return of_degseq(index, d)
 
@@ -242,7 +242,7 @@ class TestPartitionEngine:
     def test_one_memo_lookup_per_claim_and_order(self, monkeypatch):
         # each n fetches each claim's memo once, and on the default grid
         # a cell compares values at most twice: its runner-up test and
-        # its bound (a tie or near-tie compares the whole column)
+        # its bound (a tie or near-tie compares every value)
         counts = Counter()
 
         def counting(name, fn):
@@ -370,7 +370,7 @@ POSITIVE = st.floats(min_value=5e-324, max_value=1e300)
 
 
 @st.composite
-def near_columns(draw):
+def near_ties(draw):
     """Positive values around one base: exact ties, values one ulp
     apart, values on both sides of the REL_TOL edge, and free values."""
     base = draw(POSITIVE)
@@ -383,14 +383,14 @@ def near_columns(draw):
 
 class TestOracleExtremum:
     @settings(max_examples=500)
-    @given(near_columns())
+    @given(near_ties())
     def test_runner_up_rule_is_the_full_filter(self, values):
-        # one family of stand-in sequences, its values held in the memo,
-        # decided for a min claim and a max claim in one call
+        # one family of stand-in sequences, its values held in the memo
         family = tuple(range(len(values)))
         memo = dict(zip(family, values))
-        optima = verify._optima(family, [(None, "min"), (None, "max")], [memo, memo])
-        assert optima == [full_filter(family, values, "min"), full_filter(family, values, "max")]
+        for direction in ("min", "max"):
+            assert (verify._scan(family, None, direction, memo)
+                    == full_filter(family, values, direction))
 
     def test_pt_min_spider_cell(self):
         value, winners = oracle_extremum(FamilyConstraint("pt", 8, 3), "min", alpha=2)
